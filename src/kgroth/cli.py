@@ -53,6 +53,17 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return parts
 
 
+# lower bounds of the integer options, checked once for every verb
+_INT_BOUNDS = {"k": 1, "deg_max": 0, "standard_degree": 0, "r": 0}
+
+
+def _check_integers(args) -> None:
+    for name, low in _INT_BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be at least {low}: {value}")
+
+
 def _terms_payload(coeffs: dict[tuple[int, ...], int]) -> list[dict]:
     ordered = sorted(coeffs.items(), key=lambda t: (degree(t[0]), t[0]))
     return [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
@@ -356,6 +367,7 @@ def main(argv=None) -> int:
     if getattr(args, "cache_dir", None) is None:
         args.cache_dir = os.environ.get("KGROTH_CACHE_DIR") or None
     try:
+        _check_integers(args)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

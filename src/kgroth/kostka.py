@@ -21,8 +21,21 @@ FORMAT_VERSION = 1
 
 
 @cache
-def _column(mu: tuple[int, ...], k: int, deg_max: int) -> dict[tuple[int, ...], int]:
-    return kostka_column(mu, k, deg_max)
+def _column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+    return kostka_column(mu, k, degree(mu))
+
+
+def weight_column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
+    """All affine Kostka numbers of the k-bounded weight partition mu, keyed by shape.
+
+    A matrix built or loaded in this process answers when it covers the
+    weight; otherwise one sweep computes the column.  Callers must not mutate
+    the result.
+    """
+    for (kk, bound), matrix in _MEMO.items():
+        if kk == k and bound >= degree(mu):
+            return matrix.columns.get(mu, {})
+    return _column(mu, k)
 
 
 def affine_kostka(lam, mu, k: int) -> int:
@@ -39,25 +52,24 @@ def affine_kostka(lam, mu, k: int) -> int:
         raise ValueError(f"weight must be k-bounded and nonnegative: {mu}")
     if degree(lam) > sum(mu):
         return 0
-    for (kk, bound), matrix in _MEMO.items():
-        if kk == k and bound >= sum(mu):
-            return matrix.entries.get((lam, mu), 0)
-    return _column(mu, k, degree(lam)).get(lam, 0)
+    return weight_column(mu, k).get(lam, 0)
 
 
 @dataclass(frozen=True)
 class KostkaMatrix:
-    """All affine set-valued Kostka numbers with k-bounded indices up to deg_max."""
+    """All affine set-valued Kostka numbers with k-bounded indices up to deg_max.
+
+    columns maps each weight to its column, keyed by shape.
+    """
 
     k: int
     deg_max: int
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+    columns: dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
-    def entry(self, lam, mu) -> int:
-        return self.entries.get((check_partition(lam), check_partition(mu)), 0)
-
-    def shapes(self) -> list[tuple[int, ...]]:
-        return k_bounded_up_to(self.deg_max, self.k)
+    @property
+    def entries(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """The nonzero entries keyed by (shape, weight)."""
+        return {(lam, mu): v for mu, col in self.columns.items() for lam, v in col.items()}
 
 
 _MEMO: dict[tuple[int, int], KostkaMatrix] = {}
@@ -72,12 +84,8 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
     if matrix is None and cache_dir:
         matrix = _load(k, deg_max, cache_dir)
     if matrix is None:
-        entries: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for mu in k_bounded_up_to(deg_max, k):
-            for lam, count in _column(mu, k, degree(mu)).items():
-                if count:
-                    entries[(lam, mu)] = count
-        matrix = KostkaMatrix(k, deg_max, entries)
+        columns = {mu: _column(mu, k) for mu in k_bounded_up_to(deg_max, k)}
+        matrix = KostkaMatrix(k, deg_max, columns)
     _MEMO[key] = matrix
     if cache_dir and not os.path.exists(_cache_path(k, deg_max, cache_dir)):
         _save(matrix, cache_dir)
@@ -97,10 +105,10 @@ def _load(k: int, deg_max: int, cache_dir: str) -> KostkaMatrix | None:
         return None
     if data.get("format_version") != FORMAT_VERSION or data.get("k") != k:
         return None
-    entries = {
-        (tuple(lam), tuple(mu)): int(v) for lam, mu, v in data.get("entries", [])
-    }
-    return KostkaMatrix(k, deg_max, entries)
+    columns: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for lam, mu, v in data.get("entries", []):
+        columns.setdefault(tuple(mu), {})[tuple(lam)] = int(v)
+    return KostkaMatrix(k, deg_max, columns)
 
 
 def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
@@ -125,11 +133,3 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def default_cache_dir() -> str | None:
-    """Resolve the cache directory from the environment; None disables caching."""
-    env = os.environ.get("KGROTH_CACHE_DIR")
-    if env:
-        return env
-    return None

@@ -10,11 +10,11 @@ case they live in the quotient by the span of monomials with a part above k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
+from heapq import heapify, heappop, heappush
 from math import factorial
 
-from .partitions import check_partition, degree, partitions_of
+from .partitions import check_partition, conjugate, degree, partitions_of
 from .tableaux import count_semistandard
 
 BASES = ("m", "h", "e", "s")
@@ -178,10 +178,6 @@ def m(lam=(), coeff: int = 1, deg_max: int | None = None, k: int | None = None) 
 
 def s(lam=(), coeff: int = 1, deg_max: int | None = None) -> SymFunc:
     return SymFunc("s", {check_partition(lam): coeff}, deg_max)
-
-
-def zero(basis: str = "h") -> SymFunc:
-    return SymFunc(basis, {})
 
 
 # ---------------------------------------------------------------------------
@@ -354,89 +350,88 @@ def _signed_permutations(n: int):
     yield from rec(list(range(n)), [], 1)
 
 
-@cache
-def _m_inverse_matrix(d: int, target: str) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """m_lam expanded in the target basis, for every partition of d."""
-    forward = {"h": _h_in_m, "e": _e_in_m, "s": _s_in_m}[target]
-    parts = partitions_of(d)
-    n = len(parts)
-    index = {lam: i for i, lam in enumerate(parts)}
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, lam in enumerate(parts):
-        for mu, c in forward(lam).items():
-            mat[i][index[mu]] = Fraction(c)
-    inv = _invert(mat)
+# ---------------------------------------------------------------------------
+# unitriangular solves
+
+
+def h_order(lam: tuple[int, ...]):
+    """Solve order of h-side systems: top degree first, lex ascending within."""
+    return (-sum(lam), lam)
+
+
+def m_order(lam: tuple[int, ...]):
+    """Solve order of m-side systems: bottom degree first, lex descending within."""
+    return (sum(lam), tuple(-p for p in lam))
+
+
+def solve_unitriangular(target: dict, column, order) -> dict:
+    """Coefficients x with sum_key x[key] * column(key) == target, exactly.
+
+    column(key) must hold key with coefficient 1 and otherwise only keys that
+    come later in order.  The order-least key of the residual is settled next;
+    a column that breaks the order raises ArithmeticError.
+    """
+    residual = {key: c for key, c in target.items() if c}
+    heap = [(order(key), key) for key in residual]
+    heapify(heap)
     out = {}
-    for j, mu in enumerate(parts):
-        row = {}
-        for i, lam in enumerate(parts):
-            v = inv[j][i]
-            if v:
-                if v.denominator != 1:
-                    raise ArithmeticError("transition inverse must be integral")
-                row[lam] = int(v)
-        out[mu] = row
+    while heap:
+        rank, key = heappop(heap)
+        c = residual.pop(key)
+        if not c:
+            continue
+        col = column(key)
+        if col.get(key) != 1:
+            raise ArithmeticError(f"column {key} does not lead with coefficient 1")
+        out[key] = c
+        for nu, t in col.items():
+            if nu == key:
+                continue
+            if nu not in residual:
+                nu_rank = order(nu)
+                if nu_rank < rank:
+                    raise ArithmeticError(f"column {key} puts back the settled key {nu}")
+                residual[nu] = 0
+                heappush(heap, (nu_rank, nu))
+            residual[nu] -= c * t
     return out
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _linear(coeffs: dict, table) -> dict[tuple[int, ...], int]:
+    """Image of coeffs under the linear map sending each key lam to table(lam)."""
+    out: dict[tuple[int, ...], int] = {}
+    for lam, c in coeffs.items():
+        for mu, t in table(lam).items():
+            out[mu] = out.get(mu, 0) + c * t
+    return out
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis among m, h, e, s; truncation bound is preserved."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
-    if f.basis == target and (target != "m" or f.k is None):
+    if f.basis == target:
         return f
-    if f.k is not None and target != "m":
+    if f.k is not None:
         raise ValueError("a quotient element has no well-defined lift; convert before projecting")
     if target == "m":
-        table = {"h": _h_in_m, "e": _e_in_m, "s": _s_in_m, "m": None}[f.basis]
-        out: dict[tuple[int, ...], int] = {}
-        if table is None:
-            out = dict(f.coeffs)
-        else:
-            for lam, c in f.coeffs.items():
-                for mu, t in table(lam).items():
-                    out[mu] = out.get(mu, 0) + c * t
-        return SymFunc("m", out, f.deg_max, f.k)
+        table = {"h": _h_in_m, "e": _e_in_m, "s": _s_in_m}[f.basis]
+        return SymFunc("m", _linear(f.coeffs, table), f.deg_max)
     if f.basis == "m":
-        out = {}
-        for lam, c in f.coeffs.items():
-            for mu, t in _m_inverse_matrix(degree(lam), target)[lam].items():
-                out[mu] = out.get(mu, 0) + c * t
-        return SymFunc(target, out, f.deg_max)
+        if target == "s":
+            return SymFunc("s", solve_unitriangular(f.coeffs, _s_in_m, m_order), f.deg_max)
+        # e_{nu'} is m_nu plus dominance-smaller terms; the h->m matrix is
+        # symmetric but not triangular, so h goes through e
+        solved = solve_unitriangular(f.coeffs, lambda nu: _e_in_m(conjugate(nu)), m_order)
+        f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
+        return f_e if target == "e" else convert(f_e, "h")
     if target == "h":
         table = {"e": _e_in_h, "s": _s_in_h}[f.basis]
-        out = {}
-        for lam, c in f.coeffs.items():
-            for mu, t in table(lam).items():
-                out[mu] = out.get(mu, 0) + c * t
-        return SymFunc("h", out, f.deg_max)
-    if target == "e":
-        # omega duality: the e-expansion of h_lam mirrors the h-expansion of
-        # e_lam, and the e-expansion of s_lam is the h-expansion of s_lam'
-        if f.basis == "h":
-            out = {}
-            for lam, c in f.coeffs.items():
-                for mu, t in _e_in_h(lam).items():
-                    out[mu] = out.get(mu, 0) + c * t
-            return SymFunc("e", out, f.deg_max)
-        return convert(convert(f, "m"), "e")
-    # target == 's'
-    return convert(convert(f, "m"), "s")
+        return SymFunc("h", _linear(f.coeffs, table), f.deg_max)
+    if target == "e" and f.basis == "h":
+        # omega duality: the e-expansion of h_lam mirrors the h-expansion of e_lam
+        return SymFunc("e", _linear(f.coeffs, _e_in_h), f.deg_max)
+    return convert(convert(f, "m"), target)
 
 
 def project_bounded(f: SymFunc, k: int) -> SymFunc:

@@ -148,6 +148,29 @@ def test_pieri_rejects_large_r(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--family", "s", "--partition", "2,1", "--deg-max", "-3"],
+        ["verify", "bijection", "--deg-max", "-1"],
+        ["tableaux", "--shape", "1", "--k", "2", "--standard-degree", "-2"],
+        ["scan", "kss-cancellation", "--k", "0"],
+        ["kostka", "--k", "0", "--shape", "1", "--weight", "1"],
+        ["pieri", "row", "--partition", "1", "--r", "-1", "--k", "2"],
+    ],
+)
+def test_out_of_range_integers_exit_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "must be at least" in err
+
+
+@pytest.mark.parametrize("deg_max", ["0", "1"])
+def test_verify_without_instances_fails(deg_max, capsys):
+    code, out, _ = run_cli(capsys, "verify", "kostka-symmetry", "--k", "2", "--deg-max", deg_max)
+    assert code == 1
+    assert out.startswith("FAIL kostka-symmetry") and "instances=0" in out
+
+
 def test_verify_newton(capsys):
     code, doc, _ = run_json(capsys, "verify", "newton", "--deg-max", "6")
     assert code == 0 and doc["pass"] is True and doc["failures"] == []

@@ -34,7 +34,7 @@ from kgroth.partitions import (
     partitions_of,
 )
 from kgroth.schemas import SCAN_REPORT_SCHEMA
-from kgroth.symfunc import SymFunc, binomial, convert, e, h, hall_inner, s
+from kgroth.symfunc import SymFunc, binomial, convert, e, h, hall_inner, m, s
 
 from known_values import COL_PIERI_321_R2_K3, ROW_PIERI_321_R2_K3
 
@@ -224,6 +224,15 @@ def test_expand_in_dual_family_roundtrip():
     assert coeffs == {(2, 1): 1}
 
 
+def test_expand_in_dual_family_rejects_outsiders():
+    # m[3] has a part above k=2, alone or next to a member of the span
+    for f in (m((3,)), m((3,)) + m((2, 1))):
+        with pytest.raises(ValueError):
+            expand_in_dual_family(
+                f, lambda mu: dual_k_schur(mu, 2), lambda d: k_bounded_partitions(d, 2), 3
+            )
+
+
 def test_duality_small():
     res = verify_duality(2, 4)
     assert res.ok and res.instances == 9 * 9
@@ -254,6 +263,10 @@ def test_check_result_records():
     res.record(True, "fine")
     res.record(False, "broken")
     assert not res.ok and res.instances == 2 and res.failures == ["broken"]
+
+
+def test_check_result_without_instances_fails():
+    assert not CheckResult("demo", {}).ok
 
 
 def test_scan_reports_are_schema_valid():

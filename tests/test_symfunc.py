@@ -9,10 +9,12 @@ from kgroth.symfunc import (
     distinct_permutations,
     e,
     h,
+    h_order,
     hall_inner,
     m,
     project_bounded,
     s,
+    solve_unitriangular,
     _m_mult,
 )
 
@@ -81,10 +83,19 @@ def test_conversion_examples():
 
 @pytest.mark.parametrize("basis", ["h", "e", "s"])
 def test_conversion_roundtrips(basis):
-    for d in range(6):
+    for d in range(9):
         for lam in partitions_of(d):
             start = SymFunc(basis, {lam: 1})
             assert convert(convert(start, "m"), basis) == start
+
+
+def test_solve_unitriangular_rejects_columns_that_break_the_order():
+    # (1, 1) comes before (2,), so the column of (2,) must not reach it
+    columns = {(2,): {(2,): 1, (1, 1): 1}, (1, 1): {(1, 1): 1}}
+    with pytest.raises(ArithmeticError):
+        solve_unitriangular({(2,): 1}, columns.__getitem__, h_order)
+    with pytest.raises(ArithmeticError):
+        solve_unitriangular({(2,): 1}, {(2,): {(2,): 2}}.__getitem__, h_order)
 
 
 def test_omega_symmetry_of_transitions():
