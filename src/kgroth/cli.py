@@ -105,7 +105,9 @@ def cmd_expand(args) -> int:
         deg_max = degree(lam) + 4
     if family in INFINITE_FAMILIES and deg_max < degree(lam):
         raise InputError(f"--deg-max {deg_max} is below the degree of {lam}")
-    if args.cache_dir and k is not None and deg_max is not None:
+    # the finite families need only weights up to |lam|, which sweep faster
+    # than a whole matrix loads
+    if args.cache_dir and family == "Gk":
         kostka.build_affine_kostka(k, deg_max, args.cache_dir)
 
     if family == "G":

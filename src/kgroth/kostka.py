@@ -83,11 +83,13 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
     matrix = _MEMO.get(key)
     if matrix is None and cache_dir:
         matrix = _load(k, deg_max, cache_dir)
-    if matrix is None:
+    built = matrix is None
+    if built:
         columns = {mu: _column(mu, k) for mu in k_bounded_up_to(deg_max, k)}
         matrix = KostkaMatrix(k, deg_max, columns)
     _MEMO[key] = matrix
-    if cache_dir and not os.path.exists(_cache_path(k, deg_max, cache_dir)):
+    # a file that failed to load is replaced
+    if cache_dir and (built or not os.path.exists(_cache_path(k, deg_max, cache_dir))):
         _save(matrix, cache_dir)
     return matrix
 
@@ -103,7 +105,9 @@ def _load(k: int, deg_max: int, cache_dir: str) -> KostkaMatrix | None:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("format_version") != FORMAT_VERSION or data.get("k") != k:
+    if not isinstance(data, dict) or (
+        data.get("format_version"), data.get("k"), data.get("deg_max")
+    ) != (FORMAT_VERSION, k, deg_max):
         return None
     columns: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for lam, mu, v in data.get("entries", []):

@@ -275,6 +275,11 @@ def k_conjugate(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def k_bounded_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-bounded partitions of n, lexicographically decreasing."""
+    return list(_k_bounded_partitions(n, k))
+
+
+@cache
+def _k_bounded_partitions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
@@ -285,7 +290,7 @@ def k_bounded_partitions(n: int, k: int) -> list[tuple[int, ...]]:
             rec(remaining - part, part, prefix + (part,))
 
     rec(n, k, ())
-    return out
+    return tuple(out)
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:

@@ -9,15 +9,20 @@ case they live in the quotient by the span of monomials with a part above k.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
-from math import factorial
+from math import comb, factorial
 
 from .partitions import check_partition, conjugate, degree, partitions_of
 from .tableaux import count_semistandard
 
 BASES = ("m", "h", "e", "s")
+
+# Keys are checked on every construction, and most are partitions the library
+# built itself, so the check is memoized per tuple.
+_check_key = cache(check_partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,17 +35,18 @@ class SymFunc:
     def __post_init__(self):
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
-        if self.k is not None and self.basis != "m":
+        deg_max, k = self.deg_max, self.k
+        if k is not None and self.basis != "m":
             raise ValueError("only monomial-basis elements live in the quotient")
         clean: dict[tuple[int, ...], int] = {}
         for key, c in self.coeffs.items():
-            lam = check_partition(key)
+            lam = _check_key(key) if type(key) is tuple else check_partition(key)
             c = int(c)
-            if c == 0:
+            if not c:
                 continue
-            if self.deg_max is not None and degree(lam) > self.deg_max:
+            if deg_max is not None and sum(lam) > deg_max:
                 continue
-            if self.k is not None and lam and lam[0] > self.k:
+            if k is not None and lam and lam[0] > k:
                 continue
             clean[lam] = clean.get(lam, 0) + c
         object.__setattr__(self, "coeffs", {a: b for a, b in clean.items() if b})
@@ -209,22 +215,60 @@ def distinct_permutations(values: tuple[int, ...]):
 
 @cache
 def _m_mult(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Coefficients of m_lam * m_mu: pairs of exponent vectors summing sorted."""
-    if not lam:
-        return {mu: 1}
-    if not mu:
-        return {lam: 1}
-    n = len(lam) + len(mu)
-    lam_pad = lam + (0,) * (n - len(lam))
-    mu_pad = mu + (0,) * (n - len(mu))
+    """Coefficients of m_lam * m_mu, from the pairings of their parts.
+
+    A monomial of the product adds an exponent vector of m_lam to one of m_mu,
+    so some parts of lam meet a part of mu and the others stay alone.  Such a
+    pairing is a multiset of columns (a, b), with 0 for a missing part; its
+    column sums are the parts of nu, and the columns with the same sum fill
+    the positions of that part of nu in multinomially many distinct ways.
+    """
+    lam_items = sorted(Counter(lam).items())
+    mu_items = sorted(Counter(mu).items())
+    mu_parts = tuple(b for b, _ in mu_items)
     out: dict[tuple[int, ...], int] = {}
-    for a in distinct_permutations(lam_pad):
-        for b in distinct_permutations(mu_pad):
-            v = tuple(x + y for x, y in zip(a, b))
-            if any(v[i] < v[i + 1] for i in range(n - 1)):
-                continue
-            key = tuple(x for x in v if x)
-            out[key] = out.get(key, 0) + 1
+
+    def rec(i: int, free: tuple[int, ...], columns: list[tuple[int, int]]):
+        # columns holds (sum, count) for every column chosen so far
+        if i == len(lam_items):
+            columns = columns + [(b, n) for b, n in zip(mu_parts, free) if n]
+            counts: dict[int, list[int]] = {}
+            for total, n in columns:
+                counts.setdefault(total, []).append(n)
+            coeff, parts = 1, []
+            for total, ns in counts.items():
+                coeff *= _multinomial(ns)
+                parts += [total] * sum(ns)
+            nu = tuple(sorted(parts, reverse=True))
+            out[nu] = out.get(nu, 0) + coeff
+            return
+        a, r = lam_items[i]
+        for used in _bounded_vectors(r, free):
+            paired = [(a + b, n) for b, n in zip(mu_parts, used) if n]
+            alone = r - sum(used)
+            if alone:
+                paired.append((a, alone))
+            rec(i + 1, tuple(f - n for f, n in zip(free, used)), columns + paired)
+
+    rec(0, tuple(n for _, n in mu_items), [])
+    return out
+
+
+def _bounded_vectors(r: int, caps: tuple[int, ...]):
+    """All integer vectors x with 0 <= x[j] <= caps[j] and sum(x) <= r."""
+    if not caps:
+        yield ()
+        return
+    for x in range(min(r, caps[0]) + 1):
+        for rest in _bounded_vectors(r - x, caps[1:]):
+            yield (x,) + rest
+
+
+def _multinomial(ns: list[int]) -> int:
+    out, total = 1, 0
+    for n in ns:
+        total += n
+        out *= comb(total, n)
     return out
 
 

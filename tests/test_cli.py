@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -216,6 +217,47 @@ def test_kostka_cache_roundtrip(tmp_path, capsys):
         capsys, "kostka", "--k", "2", "--deg-max", "3", "--cache-dir", str(tmp_path)
     )
     assert doc1 == doc2
+    kostka._MEMO.clear()
+
+
+def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys):
+    import kgroth.kostka as kostka
+
+    kostka._MEMO.clear()
+    for family in ("gk", "ks", "dks"):
+        code, _, _ = run_json(capsys, "expand", "--family", family, "--partition", "2,1",
+                              "--k", "2", "--deg-max", "5", "--cache-dir", str(tmp_path))
+        assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run_json(capsys, "expand", "--family", "Gk", "--partition", "2,1",
+                          "--k", "2", "--deg-max", "5", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(
+        kostka._cache_path(2, 5, str(tmp_path)))]
+    kostka._MEMO.clear()
+
+
+@pytest.mark.parametrize("content", ["other-degree", "not-an-object"])
+def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsys):
+    import kgroth.kostka as kostka
+
+    kostka._MEMO.clear()
+    _, want, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4")
+    planted = kostka._cache_path(2, 4, str(tmp_path))
+    if content == "other-degree":
+        # a degree-2 matrix under the degree-4 name
+        small = tmp_path / "small"
+        kostka.build_affine_kostka(2, 2, str(small))
+        os.replace(kostka._cache_path(2, 2, str(small)), planted)
+    else:
+        with open(planted, "w", encoding="ascii") as fh:
+            fh.write("[]")
+    kostka._MEMO.clear()
+    _, got, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4",
+                         "--cache-dir", str(tmp_path))
+    assert got == want
+    with open(planted, encoding="ascii") as fh:
+        assert json.load(fh)["deg_max"] == 4
     kostka._MEMO.clear()
 
 

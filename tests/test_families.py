@@ -242,6 +242,23 @@ def test_duality_at_level_four():
     assert verify_duality(4, 4).ok
 
 
+def test_duality_reports_a_wrong_member(monkeypatch):
+    import kgroth.families as families
+
+    true = families.kkschur
+
+    def planted(lam, k):
+        g = true(lam, k)
+        return g + h((1,)) if lam == (2, 1) else g
+
+    monkeypatch.setattr(families, "kkschur", planted)
+    res = verify_duality(2, 4)
+    n = len(k_bounded_up_to(4, 2))
+    assert res.instances == n * n and not res.ok
+    assert "<g[(2, 1)], G[(1,)]> = 1, expected 0" in res.failures
+    assert all(f.startswith("<g[(2, 1)], G[") for f in res.failures)
+
+
 def test_omega_classical_rejects_quotient():
     with pytest.raises(ValueError):
         omega_classical(dual_k_schur((1,), 2))

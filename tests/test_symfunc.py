@@ -41,6 +41,26 @@ def test_basic_arithmetic():
     assert f * h(()) == f
 
 
+def test_construction_validates_keys():
+    # twice each: a rejected key must not be remembered as valid
+    for _ in range(2):
+        for bad in (lambda: SymFunc("h", {(1, 2): 1}), lambda: SymFunc("m", {(2, 0): 1}),
+                    lambda: h((1, 2)), lambda: m((0,))):
+            with pytest.raises(ValueError):
+                bad()
+
+
+def test_construction_normalizes_keys():
+    f = SymFunc("h", {(2.0, 1.0): 3})
+    assert f.coeffs == {(2, 1): 3}
+    assert all(type(p) is int for p in next(iter(f.coeffs)))
+    assert SymFunc("h", {(2.5, 1): 1}).coeffs == {(2, 1): 1}
+    # a non-tuple key is read as a sequence of parts and merges with its tuple
+    assert SymFunc("h", {"21": 1, (2, 1): 2}).coeffs == {(2, 1): 3}
+    assert SymFunc("h", {"21": 1, (2, 1): -1}).is_zero()
+    assert SymFunc("m", {(3,): 1, (2, 1): 1, (1,): 0}, deg_max=3, k=2).coeffs == {(2, 1): 1}
+
+
 def test_monomial_multiplication_examples():
     assert m((1,)) * m((1,)) == m((2,)) + 2 * m((1, 1))
     assert _m_mult((2, 1), ()) == {(2, 1): 1}
