@@ -16,7 +16,6 @@ from . import families, kostka
 from .partitions import check_partition, degree, is_k_bounded
 from .symfunc import convert
 from .tableaux import enumerate_tableaux
-from .words import DeadWordError
 
 FAMILIES = ("G", "g", "Gk", "gk", "ks", "dks", "s")
 AFFINE_FAMILIES = ("Gk", "gk", "ks", "dks")
@@ -288,8 +287,7 @@ def cmd_kostka(args) -> int:
     deg_max = args.deg_max if args.deg_max is not None else 4
     matrix = kostka.build_affine_kostka(k, deg_max, args.cache_dir)
     entries = [
-        {"shape": list(lam), "weight": list(mu), "count": v}
-        for (lam, mu), v in sorted(matrix.entries.items())
+        {"shape": list(lam), "weight": list(mu), "count": v} for lam, mu, v in matrix.entries
     ]
     payload = {"k": k, "deg_max": deg_max, "entries": entries}
     lines = [f"kostka matrix k={k} deg-max={deg_max}: {len(entries)} nonzero entries"]
@@ -374,11 +372,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DeadWordError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:
+        # anything else is a fault of the library, not of the input; traceback
+        # is imported only here because importing it slows every call's start
+        import traceback
+
         print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

@@ -1,9 +1,10 @@
 """Affine set-valued Kostka numbers: memoized columns, bulk matrices, cache.
 
 The numbers count tableaux of a given shape and weight; one dynamic-programming
-sweep per weight produces a whole column at once.  Bulk matrices are persisted
-as versioned JSON, written atomically so concurrent readers never see a torn
-file.
+sweep per weight produces a whole column at once, and a bulk matrix takes one
+sweep step per weight over the prefix tree of the weights.  Bulk matrices are
+persisted as versioned JSON, written atomically so concurrent readers never
+see a torn file, and spot-checked when read back.
 """
 
 from __future__ import annotations
@@ -14,15 +15,19 @@ import tempfile
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import check_partition, degree, is_k_bounded, k_bounded_up_to
-from .tableaux import kostka_column
+from .partitions import check_partition, core_to_bounded, degree, is_k_bounded, k_bounded_up_to
+from .tableaux import _advance, kostka_column
 
 FORMAT_VERSION = 1
+
+# a loaded file's columns of weights up to this degree are compared with
+# fresh sweeps, which stay a few short ones at any k
+CHECKED_DEGREE = 3
 
 
 @cache
 def _column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-    return kostka_column(mu, k, degree(mu))
+    return kostka_column(mu, k)
 
 
 def weight_column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
@@ -67,9 +72,9 @@ class KostkaMatrix:
     columns: dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
     @property
-    def entries(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-        """The nonzero entries keyed by (shape, weight)."""
-        return {(lam, mu): v for mu, col in self.columns.items() for lam, v in col.items()}
+    def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """The nonzero entries as (shape, weight, count) rows, sorted."""
+        return sorted((lam, mu, v) for mu, col in self.columns.items() for lam, v in col.items())
 
 
 _MEMO: dict[tuple[int, int], KostkaMatrix] = {}
@@ -85,13 +90,29 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
         matrix = _load(k, deg_max, cache_dir)
     built = matrix is None
     if built:
-        columns = {mu: _column(mu, k) for mu in k_bounded_up_to(deg_max, k)}
-        matrix = KostkaMatrix(k, deg_max, columns)
+        matrix = KostkaMatrix(k, deg_max, _all_columns(k, deg_max))
     _MEMO[key] = matrix
     # a file that failed to load is replaced
     if cache_dir and (built or not os.path.exists(_cache_path(k, deg_max, cache_dir))):
         _save(matrix, cache_dir)
     return matrix
+
+
+def _all_columns(k: int, deg_max: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The column of every k-bounded weight of degree <= deg_max, in one walk.
+
+    The weights, parts in decreasing order, form a tree under appending a
+    part no larger than the last one.  A depth-first walk takes each weight's
+    sweep states one step from its parent's, so shared prefixes sweep once.
+    """
+    columns = {}
+    stack = [((), deg_max, {(): 1})]
+    while stack:
+        mu, room, states = stack.pop()
+        columns[mu] = {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
+        for r in range(1, min(mu[-1] if mu else k, room) + 1):
+            stack.append((mu + (r,), room - r, _advance(states, r, k)))
+    return columns
 
 
 def _cache_path(k: int, deg_max: int, cache_dir: str) -> str:
@@ -103,16 +124,35 @@ def _load(k: int, deg_max: int, cache_dir: str) -> KostkaMatrix | None:
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
     if not isinstance(data, dict) or (
         data.get("format_version"), data.get("k"), data.get("deg_max")
     ) != (FORMAT_VERSION, k, deg_max):
         return None
     columns: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for lam, mu, v in data.get("entries", []):
-        columns.setdefault(tuple(mu), {})[tuple(lam)] = int(v)
+    try:
+        for lam, mu, v in data.get("entries", []):
+            columns.setdefault(tuple(mu), {})[tuple(lam)] = int(v)
+    except (TypeError, ValueError):
+        return None
+    if not _plausible(columns, k, deg_max):
+        return None
     return KostkaMatrix(k, deg_max, columns)
+
+
+def _plausible(
+    columns: dict[tuple[int, ...], dict[tuple[int, ...], int]], k: int, deg_max: int
+) -> bool:
+    """Spot-check loaded columns: every weight, unit diagonal, fresh low degrees.
+
+    The solvers rely on K[mu|mu] = 1; the low-degree columns are recomputed.
+    """
+    if set(columns) != set(k_bounded_up_to(deg_max, k)):
+        return False
+    if any(col.get(mu) != 1 for mu, col in columns.items()):
+        return False
+    return all(col == _column(mu, k) for mu, col in columns.items() if degree(mu) <= CHECKED_DEGREE)
 
 
 def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
@@ -122,16 +162,14 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
         "format_version": FORMAT_VERSION,
         "k": matrix.k,
         "deg_max": matrix.deg_max,
-        "entries": [
-            [list(lam), list(mu), v]
-            for (lam, mu), v in sorted(matrix.entries.items())
-        ],
+        "entries": matrix.entries,
     }
     # write-then-rename keeps readers away from partial files
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # json.dumps runs the C encoder, json.dump never does; the bytes agree
+            fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

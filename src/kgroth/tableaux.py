@@ -528,18 +528,24 @@ def count_ktab_kostka(lam, alpha, k: int) -> int:
     return count_kostka(lam, sizes, k)
 
 
-def kostka_column(mu, k: int, deg_max: int) -> dict[tuple[int, ...], int]:
-    """All affine Kostka numbers of weight mu at once, keyed by shape."""
-    sizes = [int(a) for a in mu if int(a)]
+def _advance(states: dict[tuple[int, ...], int], r: int, k: int) -> dict[tuple[int, ...], int]:
+    """One sweep step: add a marked block of r letters to every counted core shape."""
+    nxt: dict[tuple[int, ...], int] = {}
+    for shape, cnt in states.items():
+        for gshape, _rho in _strip_transitions(shape, r, k):
+            nxt[gshape] = nxt.get(gshape, 0) + cnt
+    return nxt
+
+
+def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
+    """All affine Kostka numbers of weight mu at once, keyed by shape.
+
+    A block of r letters adds at most r to the bounded size, so every shape
+    reached has degree at most |mu|.
+    """
     states = {(): 1}
-    for r in sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, cnt in states.items():
-            for gshape, _rho in _strip_transitions(shape, r, k):
-                if degree(core_to_bounded(gshape, k)) > deg_max:
-                    continue
-                nxt[gshape] = nxt.get(gshape, 0) + cnt
-        states = nxt
+    for r in [int(a) for a in mu if int(a)]:
+        states = _advance(states, r, k)
     return {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
 
 

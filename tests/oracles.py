@@ -7,6 +7,7 @@ answers by a different route.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from kgroth.partitions import (
@@ -317,8 +318,12 @@ def m_polynomial(lam: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]
     return {expo: 1 for expo in distinct_permutations(padded)}
 
 
-def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
-    """Multiply two monomial symmetric polynomials in enough variables."""
+def m_product_expanded(lam, mu) -> dict[tuple[int, ...], int]:
+    """Multiply two monomial symmetric polynomials in enough variables.
+
+    Multiplies every monomial of one by every monomial of the other; the
+    reference that m_product_oracle is checked against on small cases.
+    """
     nvars = len(lam) + len(mu)
     if nvars == 0:
         return {(): 1}
@@ -333,4 +338,37 @@ def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
     for expo, c in prod.items():
         if all(expo[i] >= expo[i + 1] for i in range(nvars - 1)):
             out[tuple(x for x in expo if x)] = c
+    return out
+
+
+def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
+    """Multiply two monomial symmetric polynomials in enough variables.
+
+    The coefficient of m_nu counts the pairs of monomials, one of m_lam and
+    one of m_mu in len(lam) + len(mu) variables, whose product is x^nu.  A
+    depth-first search over the variables picks one remaining part of the
+    zero-padded lam and of the zero-padded mu per variable, distinct values
+    only, so each monomial pair is visited once; it keeps the exponent sums
+    weakly decreasing, which skips the pairs whose product is not of the
+    form x^nu for a partition nu.
+    """
+    nvars = len(lam) + len(mu)
+    left = Counter(tuple(lam) + (0,) * (nvars - len(lam)))
+    right = Counter(tuple(mu) + (0,) * (nvars - len(mu)))
+    out: dict[tuple[int, ...], int] = {}
+
+    def rec(expo: tuple[int, ...], cap: int) -> None:
+        if len(expo) == nvars:
+            key = tuple(x for x in expo if x)
+            out[key] = out.get(key, 0) + 1
+            return
+        for a in [v for v, c in left.items() if c]:
+            left[a] -= 1
+            for b in [v for v, c in right.items() if c and a + v <= cap]:
+                right[b] -= 1
+                rec(expo + (a + b,), a + b)
+                right[b] += 1
+            left[a] += 1
+
+    rec((), sum(lam) + sum(mu))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -237,7 +238,7 @@ def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys):
     kostka._MEMO.clear()
 
 
-@pytest.mark.parametrize("content", ["other-degree", "not-an-object"])
+@pytest.mark.parametrize("content", ["other-degree", "not-an-object", "not-ascii", "bad-rows"])
 def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsys):
     import kgroth.kostka as kostka
 
@@ -249,9 +250,15 @@ def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsy
         small = tmp_path / "small"
         kostka.build_affine_kostka(2, 2, str(small))
         os.replace(kostka._cache_path(2, 2, str(small)), planted)
-    else:
+    elif content == "not-an-object":
         with open(planted, "w", encoding="ascii") as fh:
             fh.write("[]")
+    elif content == "not-ascii":
+        with open(planted, "wb") as fh:
+            fh.write(b'{"k": "\xff"}')
+    else:
+        with open(planted, "w", encoding="ascii") as fh:
+            fh.write('{"format_version": 1, "k": 2, "deg_max": 4, "entries": [[1, 2]]}')
     kostka._MEMO.clear()
     _, got, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4",
                          "--cache-dir", str(tmp_path))
@@ -259,6 +266,77 @@ def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsy
     with open(planted, encoding="ascii") as fh:
         assert json.load(fh)["deg_max"] == 4
     kostka._MEMO.clear()
+
+
+def _write_json(path, data) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(data, sort_keys=True))
+
+
+@pytest.mark.parametrize("corruption", ["planted", "top-diagonal", "low-degree", "missing-weight"])
+def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, capsys):
+    import kgroth.kostka as kostka
+
+    if corruption == "planted":
+        deg_max = 3
+        argv = ["expand", "--family", "Gk", "--partition", "1", "--k", "2", "--deg-max", "3"]
+    else:
+        deg_max = 5
+        argv = ["kostka", "--k", "2", "--deg-max", "5"]
+    kostka._MEMO.clear()
+    fresh = tmp_path / "fresh"
+    _, want, _ = run_cli(capsys, *argv, "--cache-dir", str(fresh))
+    kostka._MEMO.clear()
+    fresh_path = kostka._cache_path(2, deg_max, str(fresh))
+    planted = kostka._cache_path(2, deg_max, str(tmp_path))
+    if corruption == "planted":
+        _write_json(planted, {"format_version": 1, "k": 2, "deg_max": 3,
+                              "entries": [[[1], [1], 5]]})
+    else:
+        with open(fresh_path, encoding="ascii") as fh:
+            data = json.load(fh)
+        rows = data["entries"]
+        if corruption == "top-diagonal":
+            row = next(r for r in rows if r[0] == r[1] and sum(r[1]) == deg_max)
+            row[2] = 2
+        elif corruption == "low-degree":
+            row = next(r for r in rows if r[0] != r[1] and sum(r[1]) == 2)
+            row[2] += 1
+        else:
+            data["entries"] = [r for r in rows if r[1] != [2, 2, 1]]
+        _write_json(planted, data)
+    code, got, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and got == want
+    with open(planted, "rb") as fh, open(fresh_path, "rb") as good:
+        assert fh.read() == good.read()
+    kostka._MEMO.clear()
+
+
+# SHA-256 of `kgroth kostka --k 3 --deg-max 6 --format json` stdout, recorded
+# before the matrix was built by one walk over the prefix tree of the weights
+KOSTKA_K3_D6_STDOUT_SHA256 = "b2b8b8f5716294e47df19fd4801ab3101a5b55531e5943d963b33d69c3e652da"
+
+
+def test_kostka_matrix_stdout_is_pinned(capsys):
+    import kgroth.kostka as kostka
+
+    kostka._MEMO.clear()
+    code, out, _ = run_cli(capsys, "kostka", "--k", "3", "--deg-max", "6", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == KOSTKA_K3_D6_STDOUT_SHA256
+    kostka._MEMO.clear()
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    from kgroth import families
+
+    def broken(lam, k):
+        raise ValueError("a fault inside the library")
+
+    monkeypatch.setattr(families, "kkschur", broken)
+    code, out, err = run_cli(capsys, "expand", "--family", "gk", "--partition", "2,1", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("internal error") and "a fault inside the library" in err
 
 
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from kgroth.symfunc import (
     _m_mult,
 )
 
-from oracles import m_product_oracle
+from oracles import m_product_expanded, m_product_oracle
 
 
 @st.composite
@@ -70,6 +70,15 @@ def test_monomial_multiplication_examples():
 @given(small_partitions(), small_partitions())
 def test_monomial_multiplication_against_polynomials(lam, mu):
     assert _m_mult(lam, mu) == m_product_oracle(lam, mu)
+
+
+def test_product_oracle_matches_the_full_expansion():
+    small = [lam for n in range(7) for lam in partitions_of(n)
+             if len(lam) <= 3 and max(lam, default=0) <= 2]
+    assert len(small) == 10
+    for lam in small:
+        for mu in small:
+            assert m_product_oracle(lam, mu) == m_product_expanded(lam, mu), (lam, mu)
 
 
 def test_level_mismatch_errors():
