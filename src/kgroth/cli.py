@@ -63,6 +63,17 @@ def _check_integers(args) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be at least {low}: {value}")
 
 
+def _cache_dir(args) -> str | None:
+    """The cache dir path, made if missing; a regular file in its way is bad input."""
+    path = args.cache_dir
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise InputError(f"cache dir is not a directory: {path} ({exc.strerror})") from exc
+    return path
+
+
 def _terms_payload(coeffs: dict[tuple[int, ...], int]) -> list[dict]:
     ordered = sorted(coeffs.items(), key=lambda t: (degree(t[0]), t[0]))
     return [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
@@ -107,7 +118,7 @@ def cmd_expand(args) -> int:
     # the finite families need only weights up to |lam|, which sweep faster
     # than a whole matrix loads
     if args.cache_dir and family == "Gk":
-        kostka.build_affine_kostka(k, deg_max, args.cache_dir)
+        kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
 
     if family == "G":
         f = families.grothendieck(lam, deg_max)
@@ -285,7 +296,7 @@ def cmd_kostka(args) -> int:
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")
         return 0
     deg_max = args.deg_max if args.deg_max is not None else 4
-    matrix = kostka.build_affine_kostka(k, deg_max, args.cache_dir)
+    matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
     entries = [
         {"shape": list(lam), "weight": list(mu), "count": v} for lam, mu, v in matrix.entries
     ]

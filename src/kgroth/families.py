@@ -52,7 +52,7 @@ def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
 
 @cache
 def _classical_column(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return classical_kostka_column(mu, degree(mu))
+    return classical_kostka_column(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import check_partition, core_to_bounded, degree, is_k_bounded, k_bounded_up_to
-from .tableaux import _advance, kostka_column
+from .tableaux import _affine_steps, _walk_weights, kostka_column
 
 FORMAT_VERSION = 1
 
@@ -99,20 +99,11 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
 
 
 def _all_columns(k: int, deg_max: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """The column of every k-bounded weight of degree <= deg_max, in one walk.
-
-    The weights, parts in decreasing order, form a tree under appending a
-    part no larger than the last one.  A depth-first walk takes each weight's
-    sweep states one step from its parent's, so shared prefixes sweep once.
-    """
-    columns = {}
-    stack = [((), deg_max, {(): 1})]
-    while stack:
-        mu, room, states = stack.pop()
-        columns[mu] = {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
-        for r in range(1, min(mu[-1] if mu else k, room) + 1):
-            stack.append((mu + (r,), room - r, _advance(states, r, k)))
-    return columns
+    """The column of every k-bounded weight of degree <= deg_max, in one walk."""
+    return {
+        mu: {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
+        for mu, states in _walk_weights(deg_max, k, _affine_steps, k)
+    }
 
 
 def _cache_path(k: int, deg_max: int, cache_dir: str) -> str:

@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
 from .partitions import check_partition, conjugate, degree, partitions_of
-from .tableaux import count_semistandard
+from .tableaux import schur_kostka
 
 BASES = ("m", "h", "e", "s")
 
@@ -321,11 +321,13 @@ def _e_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 @cache
 def _s_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return {
-        mu: c
-        for mu in partitions_of(degree(lam))
-        if (c := count_semistandard(lam, mu))
-    }
+    """Row lam of the Kostka matrix: s_lam = sum_mu K(lam, mu) m_mu."""
+    return {mu: col[lam] for mu, col in schur_kostka(degree(lam)).items() if lam in col}
+
+
+def _h_in_s(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Column mu of the Kostka matrix: h_mu = sum_lam K(lam, mu) s_lam."""
+    return schur_kostka(degree(mu))[mu]
 
 
 @cache
@@ -357,41 +359,6 @@ def _h_product(factors: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...
 @cache
 def _e_in_h(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return _h_product([_e_r_in_h(r) for r in lam])
-
-
-@cache
-def _s_in_h(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Jacobi-Trudi: determinant of complete functions, expanded exactly."""
-    n = len(lam)
-    if n == 0:
-        return {(): 1}
-    out: dict[tuple[int, ...], int] = {}
-    for perm, sign in _signed_permutations(n):
-        idx = []
-        ok = True
-        for i in range(n):
-            v = lam[i] + perm[i] - i
-            if v < 0:
-                ok = False
-                break
-            if v > 0:
-                idx.append(v)
-        if not ok:
-            continue
-        key = tuple(sorted(idx, reverse=True))
-        out[key] = out.get(key, 0) + sign
-    return {a: b for a, b in out.items() if b}
-
-
-def _signed_permutations(n: int):
-    def rec(remaining: list[int], acc: list[int], sign: int):
-        if not remaining:
-            yield tuple(acc), sign
-            return
-        for idx, v in enumerate(remaining):
-            yield from rec(remaining[:idx] + remaining[idx + 1 :], acc + [v], sign * (-1) ** idx)
-
-    yield from rec(list(range(n)), [], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +436,19 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         solved = solve_unitriangular(f.coeffs, lambda nu: _e_in_m(conjugate(nu)), m_order)
         f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
         return f_e if target == "e" else convert(f_e, "h")
-    if target == "h":
-        table = {"e": _e_in_h, "s": _s_in_h}[f.basis]
-        return SymFunc("h", _linear(f.coeffs, table), f.deg_max)
-    if target == "e" and f.basis == "h":
-        # omega duality: the e-expansion of h_lam mirrors the h-expansion of e_lam
-        return SymFunc("e", _linear(f.coeffs, _e_in_h), f.deg_max)
-    return convert(convert(f, "m"), target)
+    # omega swaps h_mu and e_mu and sends s_lam to s_lam', so the e-side
+    # transitions are the h-side ones with the Schur indices conjugated
+    if f.basis == "s":
+        # h_mu is s_mu plus dominance-larger, hence lexicographically larger, terms
+        coeffs = f.coeffs if target == "h" else {conjugate(lam): c for lam, c in f.coeffs.items()}
+        return SymFunc(target, solve_unitriangular(coeffs, _h_in_s, h_order), f.deg_max)
+    if target == "s":
+        image = _linear(f.coeffs, _h_in_s)
+        if f.basis == "e":
+            image = {conjugate(lam): c for lam, c in image.items()}
+        return SymFunc("s", image, f.deg_max)
+    # the e-expansion of h_lam mirrors the h-expansion of e_lam
+    return SymFunc(target, _linear(f.coeffs, _e_in_h), f.deg_max)
 
 
 def project_bounded(f: SymFunc, k: int) -> SymFunc:

@@ -489,6 +489,43 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 
 # ---------------------------------------------------------------------------
 # counting
+#
+# Every count is a sweep: states map a shape to its number of fillings, and
+# step(shape, r, *args) gives the (shape', multiplicity) pairs one block of r
+# letters reaches.  Each tableau family has its own step.
+
+
+def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tuple[int, ...], int]:
+    """One sweep step: add a block of r letters to every counted shape."""
+    nxt: dict[tuple[int, ...], int] = {}
+    for shape, cnt in states.items():
+        for gshape, mult in step(shape, r, *args):
+            nxt[gshape] = nxt.get(gshape, 0) + cnt * mult
+    return nxt
+
+
+def _walk_weights(deg_max: int, max_part: int, step, *args):
+    """Yield (mu, states) for every partition mu of degree <= deg_max, parts <= max_part.
+
+    The weights form a tree under appending a part no larger than the last,
+    and each one's states are one step from its parent's, so shared prefixes
+    sweep once.  Weights of one degree come lexicographically decreasing.
+    """
+    stack = [((), deg_max, {(): 1})]
+    while stack:
+        mu, room, states = stack.pop()
+        yield mu, states
+        for r in range(1, min(mu[-1] if mu else max_part, room) + 1):
+            stack.append((mu + (r,), room - r, _advance(states, r, step, *args)))
+
+
+@cache
+def _affine_steps(shape: tuple[int, ...], r: int, k: int):
+    """(gamma, count) pairs: the affine set-valued r-strips from shape, counted per gamma."""
+    out: dict[tuple[int, ...], int] = {}
+    for gshape, _rho in _strip_transitions(shape, r, k):
+        out[gshape] = out.get(gshape, 0) + 1
+    return tuple(out.items())
 
 
 def count_kostka(lam, alpha, k: int) -> int:
@@ -503,19 +540,15 @@ def count_kostka(lam, alpha, k: int) -> int:
         return 0
     target = Core.from_bounded(lam, k).shape
     n = degree(lam)
+    budget = sum(sizes)
     states = {(): 1}
-    for pos, r in enumerate(sizes):
-        budget = sum(sizes[pos + 1 :])
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, cnt in states.items():
-            for gshape, _rho in _strip_transitions(shape, r, k):
-                if not contains(target, gshape):
-                    continue
-                size = degree(core_to_bounded(gshape, k))
-                if size > n or size + budget < n:
-                    continue
-                nxt[gshape] = nxt.get(gshape, 0) + cnt
-        states = nxt
+    for r in sizes:
+        budget -= r
+        states = {
+            gshape: cnt
+            for gshape, cnt in _advance(states, r, _affine_steps, k).items()
+            if contains(target, gshape) and n - budget <= degree(core_to_bounded(gshape, k)) <= n
+        }
     return states.get(target, 0)
 
 
@@ -528,15 +561,6 @@ def count_ktab_kostka(lam, alpha, k: int) -> int:
     return count_kostka(lam, sizes, k)
 
 
-def _advance(states: dict[tuple[int, ...], int], r: int, k: int) -> dict[tuple[int, ...], int]:
-    """One sweep step: add a marked block of r letters to every counted core shape."""
-    nxt: dict[tuple[int, ...], int] = {}
-    for shape, cnt in states.items():
-        for gshape, _rho in _strip_transitions(shape, r, k):
-            nxt[gshape] = nxt.get(gshape, 0) + cnt
-    return nxt
-
-
 def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
     """All affine Kostka numbers of weight mu at once, keyed by shape.
 
@@ -545,7 +569,7 @@ def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
     """
     states = {(): 1}
     for r in [int(a) for a in mu if int(a)]:
-        states = _advance(states, r, k)
+        states = _advance(states, r, _affine_steps, k)
     return {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
 
 
@@ -592,6 +616,13 @@ def _classical_sv_transitions(beta: tuple[int, ...], r: int):
     return tuple(out)
 
 
+@cache
+def _horizontal_strips(beta: tuple[int, ...], r: int):
+    """(gamma, 1) pairs: gamma/beta a horizontal strip of exactly r cells."""
+    n = degree(beta) + r
+    return tuple((gamma, 1) for gamma in _horizontal_extensions(beta, r) if degree(gamma) == n)
+
+
 def count_classical_kostka(lam, alpha) -> int:
     """Number of classical set-valued tableaux of shape lam and weight alpha."""
     lam = check_partition(lam)
@@ -600,44 +631,36 @@ def count_classical_kostka(lam, alpha) -> int:
         raise ValueError(f"composition parts must be nonnegative: {alpha}")
     states = {(): 1}
     for r in sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, cnt in states.items():
-            for gamma, mult in _classical_sv_transitions(shape, r):
-                if not contains(lam, gamma):
-                    continue
-                nxt[gamma] = nxt.get(gamma, 0) + cnt * mult
-        states = nxt
+        states = {
+            gamma: cnt
+            for gamma, cnt in _advance(states, r, _classical_sv_transitions).items()
+            if contains(lam, gamma)
+        }
     return states.get(lam, 0)
 
 
-def classical_kostka_column(mu, deg_max: int) -> dict[tuple[int, ...], int]:
+def classical_kostka_column(mu) -> dict[tuple[int, ...], int]:
     """All classical set-valued Kostka numbers of weight mu, keyed by shape."""
-    sizes = [int(a) for a in mu if int(a)]
     states = {(): 1}
-    for r in sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, cnt in states.items():
-            for gamma, mult in _classical_sv_transitions(shape, r):
-                if degree(gamma) > deg_max:
-                    continue
-                nxt[gamma] = nxt.get(gamma, 0) + cnt * mult
-        states = nxt
+    for r in [int(a) for a in mu if int(a)]:
+        states = _advance(states, r, _classical_sv_transitions)
     return states
 
 
+@cache
+def schur_kostka(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The classical Kostka matrix of degree n: weight mu -> {shape: count}.
+
+    Column mu is the Schur expansion of h_mu.  Callers must not mutate it.
+    """
+    return {mu: states for mu, states in _walk_weights(n, n, _horizontal_strips) if sum(mu) == n}
+
+
 def count_semistandard(lam, mu) -> int:
-    """Classical Kostka number: semistandard tableaux of shape lam, weight mu."""
+    """Classical Kostka number: semistandard tableaux of shape lam, weight mu.
+
+    Rearranging the weight never changes the count.
+    """
     lam = check_partition(lam)
-    sizes = [int(a) for a in mu if int(a)]
-    if sum(sizes) != degree(lam):
-        return 0
-    states = {(): 1}
-    for r in sizes:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, cnt in states.items():
-            for gamma in _horizontal_extensions(shape, r):
-                if degree(gamma) - degree(shape) != r or not contains(lam, gamma):
-                    continue
-                nxt[gamma] = nxt.get(gamma, 0) + cnt
-        states = nxt
-    return states.get(lam, 0)
+    weight = tuple(sorted((int(a) for a in mu if int(a)), reverse=True))
+    return schur_kostka(degree(lam)).get(weight, {}).get(lam, 0)

@@ -8,7 +8,7 @@ answers by a different route.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 from kgroth.partitions import (
     Core,
@@ -304,6 +304,20 @@ def semistandard_fillings(shape: tuple[int, ...], weight: tuple[int, ...]):
 
     rec(0, list(weight), {})
     return results
+
+
+def jacobi_trudi_h(lam) -> dict[tuple[int, ...], int]:
+    """h-expansion of s_lam: det(h_{lam_i - i + j}) expanded over all permutations."""
+    n = len(lam)
+    out: dict[tuple[int, ...], int] = {}
+    for perm in permutations(range(n)):
+        parts = [lam[i] + perm[i] - i for i in range(n)]
+        if any(v < 0 for v in parts):
+            continue
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        key = tuple(sorted((v for v in parts if v), reverse=True))
+        out[key] = out.get(key, 0) + (-1) ** inversions
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,43 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     kostka._MEMO.clear()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("route", ["option", "environment"])
+@pytest.mark.parametrize("argv", [
+    ["kostka", "--k", "2", "--deg-max", "2"],
+    ["expand", "--family", "Gk", "--partition", "1", "--k", "2", "--deg-max", "2"],
+], ids=["kostka", "expand"])
+def test_cache_dir_that_is_a_file_exits_2(argv, route, below, tmp_path, capsys, monkeypatch):
+    import kgroth.kostka as kostka
+
+    kostka._MEMO.clear()
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    path = blocker / "sub" if below else blocker
+    if route == "option":
+        argv = argv + ["--cache-dir", str(path)]
+    else:
+        monkeypatch.setenv("KGROTH_CACHE_DIR", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert blocker.read_text() == "kept"
+    kostka._MEMO.clear()
+
+
+# SHA-256 of `kgroth expand --family gk --partition 4,4,3,2,1 --k 4 --basis s
+# --format json` stdout, recorded when each Schur coefficient was a separate
+# semistandard count (about 6 s then)
+GK_44321_S_STDOUT_SHA256 = "64387e5cbd78dbcc51efa40fc9c1c5c9de5b89af66ca615a5cce7530fa31354a"
+
+
+def test_expand_gk_in_schur_basis_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--family", "gk", "--partition", "4,4,3,2,1",
+                           "--k", "4", "--basis", "s", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GK_44321_S_STDOUT_SHA256
+
+
 def test_output_determinism(capsys):
     args = ["pieri", "row", "--partition", "2,1", "--r", "2", "--k", "2", "--format", "json"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgroth.partitions import partitions_of
+from kgroth.partitions import conjugate, partitions_of
 from kgroth.symfunc import (
     SymFunc,
     binomial,
@@ -18,7 +18,7 @@ from kgroth.symfunc import (
     _m_mult,
 )
 
-from oracles import m_product_expanded, m_product_oracle
+from oracles import jacobi_trudi_h, m_product_expanded, m_product_oracle
 
 
 @st.composite
@@ -144,6 +144,26 @@ def test_schur_in_monomials_is_kostka():
 def test_jacobi_trudi_edge_cases():
     assert convert(s(()), "h") == h(())
     assert convert(s((2, 2)), "h") == h((2, 2)) - h((3, 1))
+
+
+def test_schur_to_h_and_e_match_jacobi_trudi():
+    # the dual Jacobi-Trudi identity: s_lam = det(e_{lam'_i - i + j})
+    for d in range(8):
+        for lam in partitions_of(d):
+            assert convert(s(lam), "h").coeffs == jacobi_trudi_h(lam), lam
+            assert convert(s(lam), "e").coeffs == jacobi_trudi_h(conjugate(lam)), lam
+
+
+def test_h_and_e_to_schur_match_the_route_through_m():
+    for d in range(8):
+        for mu in partitions_of(d):
+            for f in (h(mu), e(mu)):
+                assert convert(f, "s") == convert(convert(f, "m"), "s"), f
+
+
+def test_schur_of_a_long_column_is_elementary():
+    # s_{1^n} = e_n; a determinant expansion would take 12! terms here
+    assert convert(s((1,) * 12), "h") == convert(e((12,)), "h")
 
 
 def test_hall_inner():

@@ -25,6 +25,7 @@ from kgroth.tableaux import (
     k_tableau_weight,
     lowest_reading_word,
     peel_sv_strip,
+    schur_kostka,
     shape_of_cells,
 )
 from kgroth.words import ResidueWord, standard_tableau_of_word
@@ -344,6 +345,24 @@ def test_semistandard_counts():
 
         for mu in partitions_of(degree(lam)):
             assert count_semistandard(lam, mu) == len(semistandard_fillings([*lam] and lam, mu))
+    # rearranged weights and zero parts read the column of the sorted weight
+    for lam, mu in [((2, 1), (1, 2)), ((2, 1), (0, 2, 1)), ((2, 1), (1, 0, 1, 1)),
+                    ((3, 1), (1, 3)), ((2, 2), (1, 2, 1)), ((3, 2, 1), (0, 1, 3, 0, 2)),
+                    ((2, 1), (0, 2, 2))]:
+        assert count_semistandard(lam, mu) == len(semistandard_fillings(lam, mu)), (lam, mu)
+
+
+def test_schur_kostka_against_brute_force():
+    from kgroth.partitions import partitions_of
+
+    for n in range(7):
+        matrix = schur_kostka(n)
+        assert list(matrix) == partitions_of(n)
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                want = len(semistandard_fillings(lam, mu))
+                assert matrix[mu].get(lam, 0) == want, (lam, mu)
+            assert 0 not in matrix[mu].values()
 
 
 def test_direct_definition_agrees_with_chains():
