@@ -8,7 +8,6 @@ explicit truncation bound on their monomial expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .kostka import weight_column
@@ -23,6 +22,8 @@ from .partitions import (
     main_hook,
     partitions_of,
     Core,
+    Record,
+    _set,
 )
 from .symfunc import (
     SymFunc, binomial, convert, e, h, h_order, m_order, solve_unitriangular,
@@ -142,16 +143,33 @@ def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
 # Pieri rules
 
 
-@dataclass(frozen=True)
-class PieriResult:
-    """Signed expansion of a Pieri product, with the raw strip multiset."""
+class PieriResult(Record):
+    """Signed expansion of a Pieri product, with the raw strip multiset.
 
-    direction: str
-    lam: tuple[int, ...]
-    r: int
-    k: int
-    terms: dict[tuple[int, ...], int] = field(compare=False)
-    strips: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(compare=False)
+    Two results are equal when they answer the same question: terms and
+    strips take no part in equality or hashing.
+    """
+
+    __slots__ = ("direction", "lam", "r", "k", "terms", "strips")
+
+    def __init__(
+        self,
+        direction: str,
+        lam: tuple[int, ...],
+        r: int,
+        k: int,
+        terms: dict[tuple[int, ...], int],
+        strips: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+    ):
+        _set(self, "direction", direction)
+        _set(self, "lam", lam)
+        _set(self, "r", r)
+        _set(self, "k", k)
+        _set(self, "terms", terms)
+        _set(self, "strips", strips)
+
+    def _key(self) -> tuple:
+        return (self.direction, self.lam, self.r, self.k)
 
     def as_symfunc(self) -> SymFunc:
         """Sum of the expansion re-expanded into the h-basis."""
@@ -326,12 +344,26 @@ def verify_k_newton(ell: int) -> bool:
 # verification suites
 
 
-@dataclass
-class CheckResult:
-    check: str
-    params: dict
-    instances: int = 0
-    failures: list[str] = field(default_factory=list)
+class CheckResult(Record):
+    """The instances one verify suite ran and the messages of those that failed.
+
+    Unlike the other records it is filled in as the suite runs, so its fields
+    can be assigned and it has no hash.
+    """
+
+    __slots__ = ("check", "params", "instances", "failures")
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, check: str, params: dict, instances: int = 0, failures: list[str] | None = None
+    ):
+        self.check = check
+        self.params = params
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

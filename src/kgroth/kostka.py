@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from functools import cache
 
-from .partitions import check_partition, core_to_bounded, degree, is_k_bounded, k_bounded_up_to
+from .partitions import (
+    Record,
+    _set,
+    check_partition,
+    core_to_bounded,
+    degree,
+    is_k_bounded,
+    k_bounded_up_to,
+)
 from .tableaux import _affine_steps, _walk_weights, kostka_column
 
 FORMAT_VERSION = 1
@@ -60,16 +66,20 @@ def affine_kostka(lam, mu, k: int) -> int:
     return weight_column(mu, k).get(lam, 0)
 
 
-@dataclass(frozen=True)
-class KostkaMatrix:
+class KostkaMatrix(Record):
     """All affine set-valued Kostka numbers with k-bounded indices up to deg_max.
 
     columns maps each weight to its column, keyed by shape.
     """
 
-    k: int
-    deg_max: int
-    columns: dict[tuple[int, ...], dict[tuple[int, ...], int]]
+    __slots__ = ("k", "deg_max", "columns")
+
+    def __init__(
+        self, k: int, deg_max: int, columns: dict[tuple[int, ...], dict[tuple[int, ...], int]]
+    ):
+        _set(self, "k", k)
+        _set(self, "deg_max", deg_max)
+        _set(self, "columns", columns)
 
     @property
     def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -147,6 +157,10 @@ def _plausible(
 
 
 def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
+    # only a cache write needs tempfile, and importing it costs every process
+    # a few milliseconds
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(matrix.k, matrix.deg_max, cache_dir)
     payload = {

@@ -8,10 +8,46 @@ is (col - row) mod (k+1) with zeros on the main diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 Cell = tuple[int, int]
+
+# the records below set their fields once, in __init__, past their own __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    Subclasses list their fields in __slots__ and set them in __init__ with
+    _set.  A record compares equal to another of its exact class with the same
+    _key() and hashes as hash(_key()), the tuple of its fields unless a
+    subclass narrows it; its repr names every field.  Assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -161,23 +197,23 @@ def is_k_bounded(lam: tuple[int, ...], k: int) -> bool:
     return not lam or lam[0] <= k
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(Record):
     """A (k+1)-core: partition shape with no hook of length k+1.
 
     Construction validates the hook condition, so a Core value is always a
     genuine core of its level.
     """
 
-    shape: tuple[int, ...]
-    k: int
+    __slots__ = ("shape", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", check_partition(self.shape))
-        if self.k < 1:
+    def __init__(self, shape: tuple[int, ...], k: int):
+        shape = check_partition(shape)
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if not is_core(self.shape, self.k):
-            raise ValueError(f"{self.shape} is not a {self.k + 1}-core")
+        if not is_core(shape, k):
+            raise ValueError(f"{shape} is not a {k + 1}-core")
+        _set(self, "shape", shape)
+        _set(self, "k", k)
 
     @property
     def level(self) -> int:

@@ -10,12 +10,11 @@ case they live in the quotient by the span of monomials with a part above k.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
-from .partitions import check_partition, conjugate, degree, partitions_of
+from .partitions import Record, _set, check_partition, conjugate, degree, partitions_of
 from .tableaux import schur_kostka
 
 BASES = ("m", "h", "e", "s")
@@ -25,14 +24,25 @@ BASES = ("m", "h", "e", "s")
 _check_key = cache(check_partition)
 
 
-@dataclass(frozen=True, eq=False)
-class SymFunc:
-    basis: str
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
-    deg_max: int | None = None
-    k: int | None = None
+class SymFunc(Record):
+    __slots__ = ("basis", "coeffs", "deg_max", "k")
+
+    def __init__(
+        self,
+        basis: str,
+        coeffs: dict[tuple[int, ...], int] | None = None,
+        deg_max: int | None = None,
+        k: int | None = None,
+    ):
+        _set(self, "basis", basis)
+        _set(self, "coeffs", {} if coeffs is None else coeffs)
+        _set(self, "deg_max", deg_max)
+        _set(self, "k", k)
+        # looked up on the class, so a hook rebound there sees every construction
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the basis and level, and normalize coeffs to nonzero integers."""
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
         deg_max, k = self.deg_max, self.k
@@ -49,7 +59,7 @@ class SymFunc:
             if k is not None and lam and lam[0] > k:
                 continue
             clean[lam] = clean.get(lam, 0) + c
-        object.__setattr__(self, "coeffs", {a: b for a, b in clean.items() if b})
+        _set(self, "coeffs", {a: b for a, b in clean.items() if b})
 
     # -- inspection ---------------------------------------------------------
 
@@ -429,13 +439,10 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         table = {"h": _h_in_m, "e": _e_in_m, "s": _s_in_m}[f.basis]
         return SymFunc("m", _linear(f.coeffs, table), f.deg_max)
     if f.basis == "m":
+        # the h->m matrix is symmetric but not triangular, so h and e go through s
+        f = SymFunc("s", solve_unitriangular(f.coeffs, _s_in_m, m_order), f.deg_max)
         if target == "s":
-            return SymFunc("s", solve_unitriangular(f.coeffs, _s_in_m, m_order), f.deg_max)
-        # e_{nu'} is m_nu plus dominance-smaller terms; the h->m matrix is
-        # symmetric but not triangular, so h goes through e
-        solved = solve_unitriangular(f.coeffs, lambda nu: _e_in_m(conjugate(nu)), m_order)
-        f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
-        return f_e if target == "e" else convert(f_e, "h")
+            return f
     # omega swaps h_mu and e_mu and sends s_lam to s_lam', so the e-side
     # transitions are the h-side ones with the Schur indices conjugated
     if f.basis == "s":

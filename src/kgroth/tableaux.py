@@ -9,7 +9,6 @@ subset of residues per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -17,6 +16,8 @@ from math import comb
 from .partitions import (
     Cell,
     Core,
+    Record,
+    _set,
     add_cells,
     addable_corners,
     check_partition,
@@ -38,27 +39,25 @@ from .words import DeadWordError, apply_block
 # fillings
 
 
-@dataclass(frozen=True, eq=False)
-class SetValuedFilling:
+class SetValuedFilling(Record):
     """A Ferrers shape whose cells hold nonempty sets of positive integers."""
 
-    shape: tuple[int, ...]
-    cells: dict[Cell, frozenset[int]]
+    __slots__ = ("shape", "cells")
 
-    def __post_init__(self):
-        shape = check_partition(self.shape)
-        object.__setattr__(self, "shape", shape)
+    def __init__(self, shape: tuple[int, ...], cells: dict[Cell, frozenset[int]]):
+        shape = check_partition(shape)
         want = {(i, j) for i, row in enumerate(shape) for j in range(row)}
-        got = set(self.cells)
+        got = set(cells)
         if want != got:
             raise ValueError(f"cells {sorted(got)} do not cover shape {shape}")
         norm = {}
-        for c, letters in self.cells.items():
+        for c, letters in cells.items():
             letters = frozenset(int(v) for v in letters)
             if not letters or min(letters) < 1:
                 raise ValueError(f"cell {c} must hold a nonempty set of positive letters")
             norm[c] = letters
-        object.__setattr__(self, "cells", norm)
+        _set(self, "shape", shape)
+        _set(self, "cells", norm)
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,19 +281,19 @@ def gamma_blocked(cell: Cell, gamma: tuple[int, ...]) -> bool:
     return i + 1 < len(gamma) and gamma[i + 1] > j
 
 
-@dataclass(frozen=True)
-class AffineSVStrip:
+class AffineSVStrip(Record):
     """The pair (gamma/beta, rho) datum of an affine set-valued r-strip."""
 
-    gamma: Core
-    beta: Core
-    rho: tuple[int, ...]
-    r: int
+    __slots__ = ("gamma", "beta", "rho", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", check_partition(self.rho))
-        if self.gamma.k != self.beta.k:
+    def __init__(self, gamma: Core, beta: Core, rho: tuple[int, ...], r: int):
+        rho = check_partition(rho)
+        if gamma.k != beta.k:
             raise ValueError("cores must share a level")
+        _set(self, "gamma", gamma)
+        _set(self, "beta", beta)
+        _set(self, "rho", rho)
+        _set(self, "r", r)
 
 
 def is_affine_sv_strip(s: AffineSVStrip) -> bool:
@@ -399,12 +398,14 @@ def peel_sv_strip(s: AffineSVStrip) -> AffineSVStrip:
 # strip chains and enumeration
 
 
-@dataclass(frozen=True)
-class StripChain:
+class StripChain(Record):
     """A chain of (shape, rho) pairs encoding an affine set-valued tableau."""
 
-    k: int
-    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("k", "steps")
+
+    def __init__(self, k: int, steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        _set(self, "k", k)
+        _set(self, "steps", steps)
 
     def final_shape(self) -> tuple[int, ...]:
         return self.steps[-1][0] if self.steps else ()

@@ -8,12 +8,13 @@ off a shape from the top row down, right to left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .partitions import (
     Core,
     Cell,
+    Record,
+    _set,
     check_partition,
     contains,
     degree,
@@ -30,19 +31,19 @@ class DeadWordError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class ResidueWord:
+class ResidueWord(Record):
     """A word over residues [0, k]; rightmost letter applied first."""
 
-    letters: tuple[int, ...]
-    k: int
+    __slots__ = ("letters", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(int(v) for v in self.letters))
-        if self.k < 1:
+    def __init__(self, letters: tuple[int, ...], k: int):
+        letters = tuple(int(v) for v in letters)
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if any(not 0 <= v <= self.k for v in self.letters):
-            raise ValueError(f"letters must lie in [0, {self.k}]: {self.letters}")
+        if any(not 0 <= v <= k for v in letters):
+            raise ValueError(f"letters must lie in [0, {k}]: {letters}")
+        _set(self, "letters", letters)
+        _set(self, "k", k)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -184,16 +185,18 @@ def apply_block(core: Core, residues, k: int | None = None) -> tuple[Core, tuple
     return core, tuple(sorted(touched))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A decomposition into cyclically decreasing blocks of prescribed lengths.
 
     blocks[x] is the block consumed at step x+1; evaluating the blocks in
     ascending index order on the empty core reaches the target.
     """
 
-    blocks: tuple[ResidueWord, ...]
-    k: int
+    __slots__ = ("blocks", "k")
+
+    def __init__(self, blocks: tuple[ResidueWord, ...], k: int):
+        _set(self, "blocks", blocks)
+        _set(self, "k", k)
 
     def word(self) -> ResidueWord:
         letters: list[int] = []
@@ -243,11 +246,13 @@ def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
     return results
 
 
-@dataclass(frozen=True)
-class GrassmannianElement:
+class GrassmannianElement(Record):
     """An affine grassmannian element, represented canonically by its core."""
 
-    core: Core
+    __slots__ = ("core",)
+
+    def __init__(self, core: Core):
+        _set(self, "core", core)
 
     @property
     def k(self) -> int:

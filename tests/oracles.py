@@ -386,3 +386,21 @@ def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
 
     rec((), sum(lam) + sum(mu))
     return out
+
+
+# ---------------------------------------------------------------------------
+# monomial to h and e without the Schur basis
+
+
+def m_to_he_through_e(f, target: str):
+    """m -> e (then h) by a solve against the 0/1-matrix counts of e in m.
+
+    e_{nu'} is m_nu plus dominance-smaller terms, so the columns of e_{nu'}
+    are unitriangular in the m-side order.  This was the production route
+    before m -> h and m -> e went through the Schur basis.
+    """
+    from kgroth.symfunc import SymFunc, _e_in_m, convert, m_order, solve_unitriangular
+
+    solved = solve_unitriangular(f.coeffs, lambda nu: _e_in_m(conjugate(nu)), m_order)
+    f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
+    return f_e if target == "e" else convert(f_e, "h")

@@ -36,3 +36,25 @@ def test_traced_names_exist():
     for method in tables["ARITH"] + ("__post_init__",):
         assert hasattr(SymFunc, method), method
     assert hasattr(importlib.import_module("kgroth.symfunc"), "convert")
+
+
+def test_every_construction_runs_the_post_init_hook(monkeypatch):
+    # the traced run counts SymFunc constructions by rebinding this hook on
+    # the class, so every way of making a SymFunc must call it through the class
+    from kgroth.symfunc import convert
+
+    calls = []
+    original = SymFunc.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(SymFunc, "__post_init__", counting)
+    f = SymFunc("m", {(1,): 1, (2,): 0}, deg_max=3)
+    assert calls == [f] and f.coeffs == {(1,): 1}
+    for make in (lambda: f + f, lambda: f - f, lambda: 3 * f, lambda: convert(f, "s"),
+                 lambda: convert(f, "h"), lambda: convert(f, "e")):
+        before = len(calls)
+        result = make()
+        assert len(calls) > before and calls[-1] is result

@@ -387,6 +387,31 @@ def test_expand_gk_in_schur_basis_is_pinned(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GK_44321_S_STDOUT_SHA256
 
 
+def test_import_leaves_out_unused_stdlib():
+    # every CLI call is a fresh process, so what importing kgroth.cli pulls in
+    # is paid on each call; these modules cost a third of it and go unused
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tempfile", "shutil", "random")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys, kgroth.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# SHA-256 of `kgroth expand --family G --partition 3,2 --deg-max 12 --basis h
+# --format json` stdout, recorded when m -> h was a solve against 0/1-matrix
+# counts of e in m (about 0.7 s then)
+G_32_D12_H_STDOUT_SHA256 = "417e5f5e6d8cc9bd6ceb612434898fa4331ddfffd79bebb152620b763794a502"
+
+
+def test_expand_g_in_h_basis_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--family", "G", "--partition", "3,2",
+                           "--deg-max", "12", "--basis", "h", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == G_32_D12_H_STDOUT_SHA256
+
+
 def test_output_determinism(capsys):
     args = ["pieri", "row", "--partition", "2,1", "--r", "2", "--k", "2", "--format", "json"]
     code1, out1, _ = run_cli(capsys, *args)

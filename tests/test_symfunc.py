@@ -18,7 +18,7 @@ from kgroth.symfunc import (
     _m_mult,
 )
 
-from oracles import jacobi_trudi_h, m_product_expanded, m_product_oracle
+from oracles import jacobi_trudi_h, m_product_expanded, m_product_oracle, m_to_he_through_e
 
 
 @st.composite
@@ -116,6 +116,15 @@ def test_conversion_roundtrips(basis):
         for lam in partitions_of(d):
             start = SymFunc(basis, {lam: 1})
             assert convert(convert(start, "m"), basis) == start
+
+
+@pytest.mark.parametrize("target", ["h", "e"])
+def test_monomial_to_h_and_e_through_schur_matches_the_e_solve(target):
+    for d in range(8):
+        for lam in partitions_of(d):
+            got = convert(m(lam, deg_max=7), target)
+            want = m_to_he_through_e(m(lam, deg_max=7), target)
+            assert got == want and got.deg_max == want.deg_max == 7, lam
 
 
 def test_solve_unitriangular_rejects_columns_that_break_the_order():
