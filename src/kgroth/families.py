@@ -26,7 +26,7 @@ from .partitions import (
     _set,
 )
 from .symfunc import (
-    SymFunc, binomial, convert, e, h, h_order, m_order, solve_unitriangular,
+    SymFunc, binomial, convert, e, h, h_order, m_order, project_bounded, solve_unitriangular,
 )
 from .tableaux import (
     classical_kostka_column,
@@ -610,13 +610,9 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     entries, violations = _sign_entries(rows, True)
     # dual side: level-(k+1) generating functions reduced into level k
-    from .symfunc import SymFunc as _SF
-
     for lam in k_bounded_up_to(deg_max, k + 1):
-        big = affine_grothendieck(lam, k + 1, deg_max)
-        projected = _SF("m", big.coeffs, deg_max, k)
         coeffs = expand_in_dual_family(
-            projected,
+            project_bounded(affine_grothendieck(lam, k + 1, deg_max), k),
             lambda mu: affine_grothendieck(mu, k, deg_max),
             lambda d: k_bounded_partitions(d, k),
             deg_max,
@@ -631,14 +627,12 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
 
 
 def scan_s_in_Gk(k: int, deg_max: int) -> dict:
-    from .symfunc import s as schur, SymFunc as _SF
+    from .symfunc import s as schur
 
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
-        sm = convert(schur(lam), "m")
-        projected = _SF("m", sm.coeffs, deg_max, k)
         coeffs = expand_in_dual_family(
-            projected,
+            project_bounded(schur(lam), k),
             lambda mu: affine_grothendieck(mu, k, deg_max),
             lambda d: k_bounded_partitions(d, k),
             deg_max,

@@ -14,7 +14,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
-from .partitions import Record, _set, check_partition, conjugate, degree, partitions_of
+from .partitions import Record, _set, check_partition, conjugate, degree
 from .tableaux import schur_kostka
 
 BASES = ("m", "h", "e", "s")
@@ -287,49 +287,6 @@ def _multinomial(ns: list[int]) -> int:
 
 
 @cache
-def _matrix_count(rows: tuple[int, ...], cols: tuple[int, ...], zero_one: bool) -> int:
-    """Matrices with given row/column sums; 0/1 entries when zero_one."""
-    if sum(rows) != sum(cols):
-        return 0
-    if not rows:
-        return 1
-    first, rest = rows[0], rows[1:]
-    total = 0
-
-    def rec(j: int, remaining: int, left: tuple[int, ...]):
-        nonlocal total
-        if j == len(cols):
-            if remaining == 0:
-                canon = tuple(sorted((v for v in left if v), reverse=True))
-                total += _matrix_count(rest, canon, zero_one)
-            return
-        hi = min(remaining, cols[j], 1 if zero_one else remaining)
-        for v in range(hi + 1):
-            rec(j + 1, remaining - v, left + (cols[j] - v,))
-
-    rec(0, first, ())
-    return total
-
-
-@cache
-def _h_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return {
-        mu: c
-        for mu in partitions_of(degree(lam))
-        if (c := _matrix_count(lam, mu, False))
-    }
-
-
-@cache
-def _e_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return {
-        mu: c
-        for mu in partitions_of(degree(lam))
-        if (c := _matrix_count(lam, mu, True))
-    }
-
-
-@cache
 def _s_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Row lam of the Kostka matrix: s_lam = sum_mu K(lam, mu) m_mu."""
     return {mu: col[lam] for mu, col in schur_kostka(degree(lam)).items() if lam in col}
@@ -338,37 +295,6 @@ def _s_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _h_in_s(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Column mu of the Kostka matrix: h_mu = sum_lam K(lam, mu) s_lam."""
     return schur_kostka(degree(mu))[mu]
-
-
-@cache
-def _e_r_in_h(r: int) -> dict[tuple[int, ...], int]:
-    """Newton recurrence: e_r = sum_{i>=1} (-1)^(i-1) h_i e_{r-i}."""
-    if r == 0:
-        return {(): 1}
-    out: dict[tuple[int, ...], int] = {}
-    for i in range(1, r + 1):
-        sign = -1 if i % 2 == 0 else 1
-        for key, c in _e_r_in_h(r - i).items():
-            merged = tuple(sorted(key + (i,), reverse=True))
-            out[merged] = out.get(merged, 0) + sign * c
-    return {a: b for a, b in out.items() if b}
-
-
-def _h_product(factors: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
-    acc: dict[tuple[int, ...], int] = {(): 1}
-    for fac in factors:
-        nxt: dict[tuple[int, ...], int] = {}
-        for a, ca in acc.items():
-            for b, cb in fac.items():
-                key = tuple(sorted(a + b, reverse=True))
-                nxt[key] = nxt.get(key, 0) + ca * cb
-        acc = nxt
-    return {a: b for a, b in acc.items() if b}
-
-
-@cache
-def _e_in_h(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return _h_product([_e_r_in_h(r) for r in lam])
 
 
 # ---------------------------------------------------------------------------
@@ -428,34 +354,35 @@ def _linear(coeffs: dict, table) -> dict[tuple[int, ...], int]:
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
-    """Exact change of basis among m, h, e, s; truncation bound is preserved."""
+    """Exact change of basis among m, h, e, s; truncation bound is preserved.
+
+    Every conversion goes to s and then from s, each step a row read, a
+    column read or a unitriangular solve against the degree-n Kostka matrix.
+    """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
     if f.k is not None:
         raise ValueError("a quotient element has no well-defined lift; convert before projecting")
-    if target == "m":
-        table = {"h": _h_in_m, "e": _e_in_m, "s": _s_in_m}[f.basis]
-        return SymFunc("m", _linear(f.coeffs, table), f.deg_max)
-    if f.basis == "m":
-        # the h->m matrix is symmetric but not triangular, so h and e go through s
-        f = SymFunc("s", solve_unitriangular(f.coeffs, _s_in_m, m_order), f.deg_max)
-        if target == "s":
-            return f
     # omega swaps h_mu and e_mu and sends s_lam to s_lam', so the e-side
     # transitions are the h-side ones with the Schur indices conjugated
-    if f.basis == "s":
-        # h_mu is s_mu plus dominance-larger, hence lexicographically larger, terms
-        coeffs = f.coeffs if target == "h" else {conjugate(lam): c for lam, c in f.coeffs.items()}
-        return SymFunc(target, solve_unitriangular(coeffs, _h_in_s, h_order), f.deg_max)
-    if target == "s":
-        image = _linear(f.coeffs, _h_in_s)
+    if f.basis == "m":
+        coeffs = solve_unitriangular(f.coeffs, _s_in_m, m_order)
+    elif f.basis == "s":
+        coeffs = f.coeffs
+    else:
+        coeffs = _linear(f.coeffs, _h_in_s)
         if f.basis == "e":
-            image = {conjugate(lam): c for lam, c in image.items()}
-        return SymFunc("s", image, f.deg_max)
-    # the e-expansion of h_lam mirrors the h-expansion of e_lam
-    return SymFunc(target, _linear(f.coeffs, _e_in_h), f.deg_max)
+            coeffs = {conjugate(lam): c for lam, c in coeffs.items()}
+    if target == "m":
+        coeffs = _linear(coeffs, _s_in_m)
+    elif target != "s":
+        # h_mu is s_mu plus dominance-larger, hence lexicographically larger, terms
+        if target == "e":
+            coeffs = {conjugate(lam): c for lam, c in coeffs.items()}
+        coeffs = solve_unitriangular(coeffs, _h_in_s, h_order)
+    return SymFunc(target, coeffs, f.deg_max)
 
 
 def project_bounded(f: SymFunc, k: int) -> SymFunc:

@@ -468,22 +468,22 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
     target = Core.from_bounded(lam, k).shape
     n = degree(lam)
     chains: list[StripChain] = []
-
-    def rec(pos: int, shape: tuple[int, ...], acc):
+    # an explicit stack, so a long weight cannot reach the recursion limit
+    stack = [(0, (), ())]
+    while stack:
+        pos, shape, acc = stack.pop()
         if pos == len(sizes):
             if shape == target:
                 chains.append(StripChain(k, acc))
-            return
-        budget = sum(sizes[pos:])
+            continue
+        rest = sum(sizes[pos + 1:])
         for gshape, rho in _strip_transitions(shape, sizes[pos], k):
             if not contains(target, gshape):
                 continue
             size = degree(core_to_bounded(gshape, k))
-            if size > n or size + budget - sizes[pos] < n:
+            if size > n or size + rest < n:
                 continue
-            rec(pos + 1, gshape, acc + ((gshape, rho),))
-
-    rec(0, (), ())
+            stack.append((pos + 1, gshape, acc + ((gshape, rho),)))
     chains.sort(key=lambda ch: ch.steps)
     return chains
 

@@ -8,6 +8,7 @@ answers by a different route.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 
 from kgroth.partitions import (
@@ -15,6 +16,7 @@ from kgroth.partitions import (
     conjugate,
     is_core,
     k_conjugate,
+    partitions_of,
     removable_corners,
 )
 from kgroth.tableaux import AffineSVStrip, SetValuedFilling, is_affine_sv_strip
@@ -392,6 +394,36 @@ def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
 # monomial to h and e without the Schur basis
 
 
+@cache
+def matrix_count(rows: tuple[int, ...], cols: tuple[int, ...], zero_one: bool) -> int:
+    """Nonnegative integer matrices with the given row and column sums.
+
+    With zero_one only 0/1 entries count.  h_lam = sum_mu matrix_count(lam,
+    mu, False) m_mu, and e_lam the same with zero_one.
+    """
+    if sum(rows) != sum(cols):
+        return 0
+    if not rows:
+        return 1
+    total = 0
+    for first in _row_fillings(rows[0], cols, zero_one):
+        # permuting the columns changes no count, so the rest is keyed sorted
+        left = tuple(sorted((c - v for c, v in zip(cols, first) if c > v), reverse=True))
+        total += matrix_count(rows[1:], left, zero_one)
+    return total
+
+
+def _row_fillings(r: int, caps: tuple[int, ...], zero_one: bool):
+    """All rows with entries at most caps (and 1 with zero_one) summing to r."""
+    if not caps:
+        if r == 0:
+            yield ()
+        return
+    for v in range(min(r, caps[0], 1 if zero_one else r) + 1):
+        for rest in _row_fillings(r - v, caps[1:], zero_one):
+            yield (v,) + rest
+
+
 def m_to_he_through_e(f, target: str):
     """m -> e (then h) by a solve against the 0/1-matrix counts of e in m.
 
@@ -399,8 +431,12 @@ def m_to_he_through_e(f, target: str):
     are unitriangular in the m-side order.  This was the production route
     before m -> h and m -> e went through the Schur basis.
     """
-    from kgroth.symfunc import SymFunc, _e_in_m, convert, m_order, solve_unitriangular
+    from kgroth.symfunc import SymFunc, convert, m_order, solve_unitriangular
 
-    solved = solve_unitriangular(f.coeffs, lambda nu: _e_in_m(conjugate(nu)), m_order)
+    def column(nu):
+        lam = conjugate(nu)
+        return {mu: c for mu in partitions_of(sum(lam)) if (c := matrix_count(lam, mu, True))}
+
+    solved = solve_unitriangular(f.coeffs, column, m_order)
     f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
     return f_e if target == "e" else convert(f_e, "h")

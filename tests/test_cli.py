@@ -107,6 +107,13 @@ def test_tableaux_listing(capsys):
     assert code == 0 and "{2,3}_1" in out
 
 
+def test_tableaux_long_weight_stays_below_the_recursion_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "tableaux", "--shape", "1", "--standard-degree", "2000", "--k", "2"
+    )
+    assert code == 0 and out == "count: 1\n"
+
+
 def test_pieri_row_example(capsys):
     code, doc, _ = run_json(
         capsys, "pieri", "row", "--partition", "3,2,1", "--r", "2", "--k", "3"
@@ -410,6 +417,18 @@ def test_expand_g_in_h_basis_is_pinned(capsys):
                            "--deg-max", "12", "--basis", "h", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == G_32_D12_H_STDOUT_SHA256
+
+
+# SHA-256 of `kgroth expand --family gk --partition 4,4,3,2,1 --k 4 --basis m
+# --format json` stdout, recorded when h -> m counted N-matrices (about 1 s then)
+GK_44321_M_STDOUT_SHA256 = "986788462ecadd57e8f9b66903205ebefac0b304e3d900da345cf22902cf8dc5"
+
+
+def test_expand_gk_in_m_basis_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--family", "gk", "--partition", "4,4,3,2,1",
+                           "--k", "4", "--basis", "m", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GK_44321_M_STDOUT_SHA256
 
 
 def test_output_determinism(capsys):

@@ -18,7 +18,13 @@ from kgroth.symfunc import (
     _m_mult,
 )
 
-from oracles import jacobi_trudi_h, m_product_expanded, m_product_oracle, m_to_he_through_e
+from oracles import (
+    jacobi_trudi_h,
+    m_product_expanded,
+    m_product_oracle,
+    m_to_he_through_e,
+    matrix_count,
+)
 
 
 @st.composite
@@ -116,6 +122,18 @@ def test_conversion_roundtrips(basis):
         for lam in partitions_of(d):
             start = SymFunc(basis, {lam: 1})
             assert convert(convert(start, "m"), basis) == start
+
+
+def test_h_and_e_to_monomial_match_matrix_counts():
+    # the round trips above go through the same Kostka matrix both ways, so
+    # an error shared by both directions only shows against an outside count
+    for d in range(9):
+        for lam in partitions_of(d):
+            for f, zero_one in ((h(lam), False), (e(lam), True)):
+                want = {
+                    mu: c for mu in partitions_of(d) if (c := matrix_count(lam, mu, zero_one))
+                }
+                assert convert(f, "m").coeffs == want, f
 
 
 @pytest.mark.parametrize("target", ["h", "e"])
