@@ -1,7 +1,8 @@
 """Command-line front end with deterministic JSON and text output.
 
 Exit codes: 0 success (and every check passing), 1 internal error or a
-failing verification, 2 invalid input.  Data goes to stdout, diagnostics to
+failing verification, 2 invalid input.  A reader that closes stdout early
+gets exit 1 with nothing on stderr.  Data goes to stdout, diagnostics to
 stderr; identical invocations produce byte-identical stdout.
 """
 
@@ -379,10 +380,17 @@ def main(argv=None) -> int:
         args.cache_dir = os.environ.get("KGROTH_CACHE_DIR") or None
     try:
         _check_integers(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; pointing stdout at devnull keeps the interpreter's
+        # flush at exit from failing a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:
         # anything else is a fault of the library, not of the input; traceback
         # is imported only here because importing it slows every call's start

@@ -26,23 +26,26 @@ from .partitions import (
     _set,
 )
 from .symfunc import (
-    SymFunc, binomial, convert, e, h, h_order, m_order, project_bounded, solve_unitriangular,
+    SymFunc, _concat_product, _linear, binomial, convert, e, h, h_order, m_order, project_bounded,
+    distinct_permutations, solve_unitriangular,
 )
 from .tableaux import (
     classical_kostka_column,
     count_kostka,
     enumerate_sv_strips,
     enumerate_sv_strips_vertical,
+    kostka_column,
 )
 
 # ---------------------------------------------------------------------------
-# triangular solves against tableau-count columns
+# triangular solves and weight series over tableau-count columns
 #
 # Writing h_mu = sum_lam (-1)^(|mu|-|lam|) K(lam, mu) g_lam for a family g,
 # with K(lam, mu) the tableau count of shape lam and weight mu, the h-expansion
 # of g_lam is the solution of that unitriangular system.  Solving against the
 # unsigned columns and signing the solution by degree parity is the same
-# thing: the signs are a diagonal change of basis on both sides.
+# thing: the signs are a diagonal change of basis on both sides.  The dual
+# family G_lam is the series of the same signed counts over the weights mu.
 
 
 def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
@@ -54,6 +57,21 @@ def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
 @cache
 def _classical_column(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return classical_kostka_column(mu)
+
+
+def _series(lam: tuple[int, ...], deg_max: int, weights, column, *args) -> dict:
+    """m-coefficients (-1)^(|mu|-|lam|) column(mu)[lam], mu in weights(d), |lam| <= d <= deg_max."""
+    n = degree(lam)
+    if deg_max < n:
+        raise ValueError(f"deg_max {deg_max} is below the degree of {lam}")
+    coeffs: dict[tuple[int, ...], int] = {}
+    for d in range(n, deg_max + 1):
+        sign = -1 if (d - n) % 2 else 1
+        for mu in weights(d, *args):
+            count = column(mu, *args).get(lam)
+            if count:
+                coeffs[mu] = sign * count
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +87,7 @@ def dual_grothendieck(lam) -> SymFunc:
 def grothendieck(lam, deg_max: int) -> SymFunc:
     """Monomial expansion of the stable Grothendieck polynomial, truncated."""
     lam = check_partition(lam)
-    if deg_max < degree(lam):
-        raise ValueError(f"deg_max {deg_max} is below the degree of {lam}")
-    coeffs: dict[tuple[int, ...], int] = {}
-    for d in range(degree(lam), deg_max + 1):
-        for mu in partitions_of(d):
-            count = _classical_column(mu).get(lam, 0)
-            if count:
-                sign = -1 if (degree(lam) + d) % 2 else 1
-                coeffs[mu] = sign * count
-    return SymFunc("m", coeffs, deg_max)
+    return SymFunc("m", _series(lam, deg_max, partitions_of, _classical_column), deg_max)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +114,7 @@ def k_schur(lam, k: int) -> SymFunc:
         n = degree(mu)
         return {nu: c for nu, c in weight_column(mu, k).items() if degree(nu) == n}
 
-    return SymFunc("h", solve_unitriangular({lam: 1}, top_column, h_order))
+    return _solve_h(lam, top_column)
 
 
 def dual_k_schur(lam, k: int) -> SymFunc:
@@ -114,12 +123,7 @@ def dual_k_schur(lam, k: int) -> SymFunc:
     if not is_k_bounded(lam, k):
         raise ValueError(f"{lam} is not {k}-bounded")
     n = degree(lam)
-    coeffs = {}
-    for mu in k_bounded_partitions(n, k):
-        count = weight_column(mu, k).get(lam, 0)
-        if count:
-            coeffs[mu] = count
-    return SymFunc("m", coeffs, None, k)
+    return SymFunc("m", _series(lam, n, k_bounded_partitions, weight_column, k), None, k)
 
 
 def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
@@ -127,15 +131,7 @@ def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     lam = check_partition(lam)
     if not is_k_bounded(lam, k):
         raise ValueError(f"{lam} is not {k}-bounded")
-    if deg_max < degree(lam):
-        raise ValueError(f"deg_max {deg_max} is below the degree of {lam}")
-    coeffs: dict[tuple[int, ...], int] = {}
-    for d in range(degree(lam), deg_max + 1):
-        for mu in k_bounded_partitions(d, k):
-            count = weight_column(mu, k).get(lam, 0)
-            if count:
-                sign = -1 if (degree(lam) + d) % 2 else 1
-                coeffs[mu] = sign * count
+    coeffs = _series(lam, deg_max, k_bounded_partitions, weight_column, k)
     return SymFunc("m", coeffs, deg_max, k)
 
 
@@ -173,10 +169,7 @@ class PieriResult(Record):
 
     def as_symfunc(self) -> SymFunc:
         """Sum of the expansion re-expanded into the h-basis."""
-        out = SymFunc("h", {})
-        for mu, c in self.terms.items():
-            out = out + c * kkschur(mu, self.k)
-        return out
+        return SymFunc("h", _linear(self.terms, lambda mu: kkschur(mu, self.k).coeffs))
 
 
 def _pieri(direction: str, lam, r: int, k: int) -> PieriResult:
@@ -227,12 +220,17 @@ def omega_classical(f: SymFunc) -> SymFunc:
 @cache
 def _omega_big_h(r: int) -> SymFunc:
     """Image of a single complete generator, re-expressed in the h-basis."""
-    out = SymFunc("e", {})
-    for j in range(1, r + 1):
-        out = out + binomial(r - 1, j - 1) * e((j,))
     if r == 0:
-        out = e(())
-    return convert(out, "h")
+        return h(())
+    return convert(SymFunc("e", {(j,): binomial(r - 1, j - 1) for j in range(1, r + 1)}), "h")
+
+
+def _omega_big_image(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """h-coefficients of the image of h_lam: the product of its generators' images."""
+    image = {(): 1}
+    for r in lam:
+        image = _concat_product(image, _omega_big_h(r).coeffs)
+    return image
 
 
 def omega_big(f: SymFunc) -> SymFunc:
@@ -240,13 +238,7 @@ def omega_big(f: SymFunc) -> SymFunc:
     fh = convert(f, "h")
     if fh.deg_max is not None:
         raise ValueError("the inhomogeneous conjugation needs an exact expansion")
-    out = SymFunc("h", {})
-    for lam, c in fh.coeffs.items():
-        term = h(())
-        for r in lam:
-            term = term * _omega_big_h(r)
-        out = out + c * term
-    return out
+    return SymFunc("h", _linear(fh.coeffs, _omega_big_image))
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +377,12 @@ def verify_duality(k: int, deg_max: int) -> CheckResult:
     """
     res = CheckResult("duality", {"k": k, "deg_max": deg_max})
     shapes = k_bounded_up_to(deg_max, k)
-    big_by_key: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    big_by_key: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for mu in shapes:
         for nu, c in affine_grothendieck(mu, k, deg_max).coeffs.items():
-            big_by_key.setdefault(nu, []).append((mu, c))
+            big_by_key.setdefault(nu, {})[mu] = c
     for lam in shapes:
-        row: dict[tuple[int, ...], int] = {}
-        for nu, c in kkschur(lam, k).coeffs.items():
-            for mu, t in big_by_key.get(nu, ()):
-                row[mu] = row.get(mu, 0) + c * t
+        row = _linear(kkschur(lam, k).coeffs, lambda nu: big_by_key.get(nu, {}))
         for mu in shapes:
             want = 1 if lam == mu else 0
             got = row.get(mu, 0)
@@ -476,8 +465,6 @@ def verify_pieri(k: int, deg_max: int) -> CheckResult:
 
 def verify_kostka_symmetry(k: int, deg_max: int) -> CheckResult:
     """Tableau counts are invariant under rearranging the weight."""
-    from .symfunc import distinct_permutations
-
     res = CheckResult("kostka-symmetry", {"k": k, "deg_max": deg_max})
     for mu in k_bounded_up_to(deg_max, k):
         if not mu:
@@ -487,8 +474,9 @@ def verify_kostka_symmetry(k: int, deg_max: int) -> CheckResult:
         for arrangement in distinct_permutations(mu):
             if arrangement == mu:
                 continue
+            column = kostka_column(arrangement, k)
             for lam in shapes:
-                got = count_kostka(lam, arrangement, k)
+                got = column.get(lam, 0)
                 res.record(
                     got == base[lam],
                     f"count({lam}, {arrangement}) = {got} != {base[lam]}",
@@ -501,42 +489,39 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
     from itertools import product as iproduct
 
     from .partitions import core_to_bounded
-    from .symfunc import distinct_permutations
     from .tableaux import enumerate_tableaux, is_affine_sv_tableau
-    from .words import DeadWordError, ResidueWord, alpha_factorizations, evaluate, standard_tableau_of_word
+    from .words import DeadWordError, ResidueWord, alpha_factorizations, standard_tableau_of_word
 
     res = CheckResult("bijection", {"k": k, "deg_max": deg_max})
-    compositions: list[tuple[int, ...]] = []
     for n in range(deg_max + 1):
-        for mu in k_bounded_partitions(n, k):
-            compositions.extend(distinct_permutations(mu))
-    for alpha in compositions:
-        n = sum(alpha)
-        fillings_by_shape: dict[tuple[int, ...], set] = {}
+        # the (bounded shape, standard filling) pair of every alive word of length n
+        alive = []
         for letters in iproduct(range(k + 1), repeat=n):
-            word = ResidueWord(letters, k)
             try:
-                core = evaluate(word)
+                t = standard_tableau_of_word(ResidueWord(letters, k))
             except DeadWordError:
                 continue
-            t = standard_tableau_of_word(word)
-            if is_affine_sv_tableau(t, alpha, k):
-                fillings_by_shape.setdefault(core_to_bounded(core.shape, k), set()).add(t)
-        for lam in k_bounded_up_to(n, k):
-            direct = fillings_by_shape.get(lam, set())
-            chains = enumerate_tableaux(lam, alpha, k)
-            from_chains = {ch.to_filling(alpha) for ch in chains}
-            res.record(
-                from_chains == direct,
-                f"chain fillings differ from direct fillings at lam={lam}, alpha={alpha}",
-            )
-            count = count_kostka(lam, alpha, k)
-            factor = len(alpha_factorizations(lam, alpha, k))
-            res.record(
-                len(chains) == count == factor == len(direct),
-                f"counts disagree at lam={lam}, alpha={alpha}: "
-                f"chains={len(chains)} dp={count} factorizations={factor} direct={len(direct)}",
-            )
+            alive.append((core_to_bounded(t.shape, k), t))
+        for alpha in [a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)]:
+            fillings_by_shape: dict[tuple[int, ...], set] = {}
+            for lam, t in alive:
+                if is_affine_sv_tableau(t, alpha, k):
+                    fillings_by_shape.setdefault(lam, set()).add(t)
+            for lam in k_bounded_up_to(n, k):
+                direct = fillings_by_shape.get(lam, set())
+                chains = enumerate_tableaux(lam, alpha, k)
+                from_chains = {ch.to_filling(alpha) for ch in chains}
+                res.record(
+                    from_chains == direct,
+                    f"chain fillings differ from direct fillings at lam={lam}, alpha={alpha}",
+                )
+                count = count_kostka(lam, alpha, k)
+                factor = len(alpha_factorizations(lam, alpha, k))
+                res.record(
+                    len(chains) == count == factor == len(direct),
+                    f"counts disagree at lam={lam}, alpha={alpha}: chains={len(chains)} "
+                    f"dp={count} factorizations={factor} direct={len(direct)}",
+                )
     return res
 
 

@@ -316,16 +316,17 @@ def k_bounded_partitions(n: int, k: int) -> list[tuple[int, ...]]:
 
 @cache
 def _k_bounded_partitions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    # a depth-first walk on an explicit stack, so no size reaches the recursion
+    # limit; the largest next part is pushed last and so comes out first
     out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
+    stack = [(n, k, ())]
+    while stack:
+        remaining, maxpart, prefix = stack.pop()
         if remaining == 0:
             out.append(prefix)
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, k, ())
+            continue
+        for part in range(1, min(remaining, maxpart) + 1):
+            stack.append((remaining - part, part, prefix + (part,)))
     return tuple(out)
 
 

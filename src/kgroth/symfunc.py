@@ -75,9 +75,6 @@ class SymFunc(Record):
     def max_degree(self) -> int:
         return max((degree(lam) for lam in self.coeffs), default=0)
 
-    def min_degree(self) -> int:
-        return min((degree(lam) for lam in self.coeffs), default=0)
-
     def homogeneous(self, d: int) -> "SymFunc":
         part = {lam: c for lam, c in self.coeffs.items() if degree(lam) == d}
         return SymFunc(self.basis, part, self.deg_max, self.k)
@@ -147,12 +144,7 @@ class SymFunc(Record):
         bound = _min_bound(self.deg_max, other.deg_max)
         out: dict[tuple[int, ...], int] = {}
         if self.basis in ("h", "e"):
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    key = tuple(sorted(a + b, reverse=True))
-                    if bound is not None and degree(key) > bound:
-                        continue
-                    out[key] = out.get(key, 0) + ca * cb
+            out = _concat_product(self.coeffs, other.coeffs, bound)
         elif self.basis == "m":
             for a, ca in self.coeffs.items():
                 for b, cb in other.coeffs.items():
@@ -164,6 +156,18 @@ class SymFunc(Record):
             prod = convert(self, "m") * convert(other, "m")
             return convert(prod.truncate(bound), "s")
         return SymFunc(self.basis, out, bound, k)
+
+
+def _concat_product(a: dict, b: dict, bound: int | None = None) -> dict[tuple[int, ...], int]:
+    """h_lam * h_mu = h_(lam + mu) on coefficient maps (e alike); keys above bound are dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            key = tuple(sorted(x + y, reverse=True))
+            if bound is not None and degree(key) > bound:
+                continue
+            out[key] = out.get(key, 0) + cx * cy
+    return out
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
@@ -201,26 +205,22 @@ def s(lam=(), coeff: int = 1, deg_max: int | None = None) -> SymFunc:
 
 
 def distinct_permutations(values: tuple[int, ...]):
-    """All distinct orderings of a multiset of integers."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    n = len(values)
-    out: list[int] = []
-
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
+    """All distinct orderings of a multiset of integers, lexicographically increasing."""
+    # each is the next permutation of the one before, so nothing recurses
+    perm = sorted(values)
+    n = len(perm)
+    while True:
+        yield tuple(perm)
+        i = n - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                counts[v] += 1
-
-    yield from rec()
+        j = n - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 @cache

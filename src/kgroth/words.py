@@ -204,9 +204,6 @@ class Factorization(Record):
             letters.extend(block.letters)
         return ResidueWord(tuple(letters), self.k)
 
-    def block_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(b.letters) for b in self.blocks)
-
 
 def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
     """All factorizations of lam's grassmannian element with block sizes alpha.

@@ -480,3 +480,22 @@ def test_text_output_shape(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("gk[2,1] (k=2)")
+
+
+def test_closed_stdout_exits_1_silently():
+    # about 150 KB of JSON, more than a pipe holds, so the writer meets the
+    # closed pipe whatever the timing
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "KGROTH_CACHE_DIR"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kgroth.cli", "kostka", "--k", "4", "--deg-max", "10",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

@@ -20,6 +20,7 @@ from kgroth.families import (
     verify_bijection,
     verify_duality,
     verify_k_newton,
+    verify_kostka_symmetry,
     verify_newton,
     verify_omega,
     verify_pieri,
@@ -257,6 +258,74 @@ def test_duality_reports_a_wrong_member(monkeypatch):
     assert res.instances == n * n and not res.ok
     assert "<g[(2, 1)], G[(1,)]> = 1, expected 0" in res.failures
     assert all(f.startswith("<g[(2, 1)], G[") for f in res.failures)
+
+
+def test_kostka_symmetry_reports_a_wrong_column(monkeypatch):
+    import kgroth.families as families
+
+    true = families.kostka_column
+
+    def planted(mu, k):
+        column = dict(true(mu, k))
+        if tuple(mu) == (1, 2):
+            column[(2, 1)] = column.get((2, 1), 0) + 1
+        return column
+
+    monkeypatch.setattr(families, "kostka_column", planted)
+    res = verify_kostka_symmetry(2, 3)
+    assert res.instances == 6
+    assert res.failures == ["count((2, 1), (1, 2)) = 2 != 1"]
+
+
+def test_bijection_reports_missing_direct_fillings(monkeypatch):
+    import kgroth.tableaux as tableaux
+
+    true = tableaux.is_affine_sv_tableau
+
+    def planted(t, alpha, k):
+        return tuple(alpha) != (2, 1) and true(t, alpha, k)
+
+    monkeypatch.setattr(tableaux, "is_affine_sv_tableau", planted)
+    res = verify_bijection(2, 3)
+    assert res.instances == 58
+    assert res.failures == [
+        f"{msg} at lam={lam}, alpha=(2, 1){tail}"
+        for lam in ((2,), (2, 1))
+        for msg, tail in (
+            ("chain fillings differ from direct fillings", ""),
+            ("counts disagree", ": chains=1 dp=1 factorizations=1 direct=0"),
+        )
+    ]
+
+
+def test_omega_reports_a_wrong_generator_image(monkeypatch):
+    import kgroth.families as families
+
+    true = families._omega_big_h
+
+    def planted(r):
+        return true(r) + h((2,)) if r == 2 else true(r)
+
+    monkeypatch.setattr(families, "_omega_big_h", planted)
+    res = verify_omega(2, 3)
+    assert res.instances == 12
+    assert len(res.failures) == 6
+    assert res.failures[0] == "omega^2 moved h[(2,)]"
+
+
+@pytest.mark.parametrize(
+    "suite, k, deg_max, instances",
+    [
+        (verify_kostka_symmetry, 2, 5, 84),
+        (verify_kostka_symmetry, 3, 5, 168),
+        (verify_kostka_symmetry, 3, 8, 4586),
+        (verify_bijection, 2, 3, 58),
+        (verify_bijection, 3, 5, 648),
+    ],
+)
+def test_oracle_suite_instance_counts(suite, k, deg_max, instances):
+    res = suite(k, deg_max)
+    assert res.ok and res.instances == instances
 
 
 def test_omega_classical_rejects_quotient():

@@ -197,3 +197,21 @@ def test_horizontal_strip():
 def test_partition_generators():
     assert k_bounded_partitions(4, 2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(k_bounded_up_to(3, 1)) == 4
+
+
+def test_k_bounded_partitions_come_lexicographically_decreasing():
+    from itertools import combinations_with_replacement
+
+    for k in range(1, 5):
+        for n in range(11):
+            want = sorted(
+                (tuple(reversed(parts)) for r in range(n + 1)
+                 for parts in combinations_with_replacement(range(1, k + 1), r)
+                 if sum(parts) == n),
+                reverse=True,
+            )
+            assert k_bounded_partitions(n, k) == want
+
+
+def test_k_bounded_partitions_do_not_recurse_per_part():
+    assert k_bounded_partitions(3000, 1) == [(1,) * 3000]

@@ -224,3 +224,15 @@ def test_binomial():
 def test_distinct_permutations():
     assert sorted(distinct_permutations((1, 1, 2))) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert list(distinct_permutations(())) == [()]
+
+
+def test_distinct_permutations_come_lexicographically_increasing():
+    from itertools import permutations
+
+    for n in range(7):
+        for v in partitions_of(n):
+            assert list(distinct_permutations(v)) == sorted(set(permutations(v)))
+
+
+def test_distinct_permutations_do_not_recurse_per_part():
+    assert list(distinct_permutations((1,) * 3000)) == [(1,) * 3000]
