@@ -10,8 +10,6 @@ from .partitions import (
     conjugate,
     core_to_bounded,
     dominates,
-    extremal_cells,
-    hook_length,
     is_core,
     is_horizontal_strip,
     k_conjugate,
@@ -20,7 +18,6 @@ from .partitions import (
 from .words import (
     DeadWordError,
     Factorization,
-    GrassmannianElement,
     ResidueWord,
     alpha_factorizations,
     cyclically_decreasing_word,

@@ -283,7 +283,9 @@ def cmd_kostka(args) -> int:
     k = args.k
     if k is None:
         raise InputError("kostka needs --k")
-    if args.shape is not None and args.weight is not None:
+    if (args.shape is None) != (args.weight is None):
+        raise InputError("give both --shape and --weight, or neither")
+    if args.shape is not None:
         lam = parse_partition(args.shape)
         alpha = parse_composition(args.weight)
         if not is_k_bounded(lam, k):
@@ -322,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_k=True):
-        if need_k:
-            p.add_argument("--k", type=int, default=None, help="level parameter k")
+    def common(p):
+        p.add_argument("--k", type=int, default=None, help="level parameter k")
         p.add_argument("--deg-max", type=int, default=None, dest="deg_max")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--cache-dir", default=None, dest="cache_dir")

@@ -91,20 +91,6 @@ def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return True
 
 
-def cells(lam: tuple[int, ...]) -> list[Cell]:
-    return [(i, j) for i, row in enumerate(lam) for j in range(row)]
-
-
-def hook_length(lam: tuple[int, ...], cell: Cell) -> int:
-    """Arm + leg + 1 of a cell that must lie inside lam."""
-    i, j = cell
-    if not (0 <= i < len(lam) and 0 <= j < lam[i]):
-        raise ValueError(f"cell {cell} outside shape {lam}")
-    arm = lam[i] - j - 1
-    leg = sum(1 for r in range(i + 1, len(lam)) if lam[r] > j)
-    return arm + leg + 1
-
-
 def main_hook(lam: tuple[int, ...]) -> int:
     """Hook length of the corner cell (0,0); 0 for the empty shape."""
     if not lam:
@@ -128,15 +114,6 @@ def removable_corners(lam: tuple[int, ...]) -> list[Cell]:
     for i in range(len(lam)):
         if i == len(lam) - 1 or lam[i + 1] < lam[i]:
             out.append((i, lam[i] - 1))
-    return out
-
-
-def extremal_cells(lam: tuple[int, ...]) -> list[Cell]:
-    """Cells (i,j) of lam with (i+1,j+1) outside lam."""
-    out = []
-    for i, row in enumerate(lam):
-        above = lam[i + 1] if i + 1 < len(lam) else 0
-        out.extend((i, j) for j in range(row) if j >= above - 1)
     return out
 
 
@@ -197,6 +174,21 @@ def is_k_bounded(lam: tuple[int, ...], k: int) -> bool:
     return not lam or lam[0] <= k
 
 
+def _check_core(shape, k: int) -> tuple[int, ...]:
+    """The partition tuple of shape, which must be a (k+1)-core with k >= 1."""
+    shape = check_partition(shape)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not is_core(shape, k):
+        raise ValueError(f"{shape} is not a {k + 1}-core")
+    return shape
+
+
+# Most cores are built by the library itself, from tuples, and the same few
+# shapes recur across the sweeps, so the check is memoized per (shape, k).
+_check_core_tuple = cache(_check_core)
+
+
 class Core(Record):
     """A (k+1)-core: partition shape with no hook of length k+1.
 
@@ -207,11 +199,10 @@ class Core(Record):
     __slots__ = ("shape", "k")
 
     def __init__(self, shape: tuple[int, ...], k: int):
-        shape = check_partition(shape)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if not is_core(shape, k):
-            raise ValueError(f"{shape} is not a {k + 1}-core")
+        if type(shape) is tuple:
+            shape = _check_core_tuple(shape, k)
+        else:
+            shape = _check_core(shape, k)
         _set(self, "shape", shape)
         _set(self, "k", k)
 
@@ -222,28 +213,28 @@ class Core(Record):
     def residue(self, cell: Cell) -> int:
         return residue(cell, self.k)
 
-    def addable_corners(self) -> list[tuple[Cell, int]]:
-        """Addable cells with their residues, bottom row first."""
-        return [(c, self.residue(c)) for c in addable_corners(self.shape)]
-
-    def removable_corners(self) -> list[tuple[Cell, int]]:
-        return [(c, self.residue(c)) for c in removable_corners(self.shape)]
-
-    def extremal_cells(self) -> list[tuple[Cell, int]]:
-        return [(c, self.residue(c)) for c in extremal_cells(self.shape)]
-
     def addable_of_residue(self, i: int) -> list[Cell]:
         return [c for c in addable_corners(self.shape) if self.residue(c) == i % self.level]
 
     def removable_of_residue(self, i: int) -> list[Cell]:
         return [c for c in removable_corners(self.shape) if self.residue(c) == i % self.level]
 
+    def act(self, i: int) -> tuple["Core", tuple[Cell, ...]]:
+        """The corner step of letter i: the core after it and the cells it touches.
+
+        Adds every addable i-corner when there is one; otherwise the core
+        stays and its removable i-corners are marked.  No touched cell means
+        there is neither kind of i-corner: the letter is dead on this core.
+        Cells come bottom row first.
+        """
+        added = self.addable_of_residue(i)
+        if added:
+            return Core(add_cells(self.shape, added), self.k), tuple(added)
+        return self, tuple(self.removable_of_residue(i))
+
     def add_residue(self, i: int) -> "Core":
         """Add every addable i-corner; identity when there is none."""
-        new = self.addable_of_residue(i)
-        if not new:
-            return self
-        return Core(add_cells(self.shape, new), self.k)
+        return self.act(i)[0]
 
     def to_bounded(self) -> tuple[int, ...]:
         """The bijection onto k-bounded partitions: delete all hooks above k."""

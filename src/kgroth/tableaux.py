@@ -334,7 +334,7 @@ def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
     out = []
     for subset in combinations(range(k + 1), r):
         try:
-            gamma, touched = apply_block(beta, subset, k)
+            gamma, touched = apply_block(beta, subset)
         except DeadWordError:
             continue
         rows = list(gamma.shape)

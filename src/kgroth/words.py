@@ -69,26 +69,24 @@ def word_of_partition(lam, k: int) -> ResidueWord:
     return ResidueWord(residue_word(lam, k), k)
 
 
-def evaluate_steps(word: ResidueWord):
+def evaluate_steps(word: ResidueWord, core: Core | None = None):
     """Yield (letter, core_after, cells_receiving_letter) per evaluation step.
 
-    A step either adds all addable i-corners (the new cells receive the
-    letter) or, failing that, marks all removable i-corners.  If neither
-    kind of corner exists the word is dead.
+    Starts from core, the empty core by default.  Each step is Core.act: it
+    either adds all addable i-corners (the new cells receive the letter) or,
+    failing that, marks all removable i-corners.  If neither kind of corner
+    exists the word is dead.
     """
-    core = Core((), word.k)
+    if core is None:
+        core = Core((), word.k)
     for pos, i in enumerate(reversed(word.letters)):
-        added = core.addable_of_residue(i)
-        if added:
-            core = core.add_residue(i)
-            yield i, core, tuple(sorted(added))
-            continue
-        marked = core.removable_of_residue(i)
-        if not marked:
+        after, touched = core.act(i)
+        if not touched:
             raise DeadWordError(
                 f"letter {i} at step {pos + 1} of {word}: no addable or removable {i}-corner on {core.shape}"
             )
-        yield i, core, tuple(sorted(marked))
+        core = after
+        yield i, core, touched
 
 
 def evaluate(word: ResidueWord) -> Core:
@@ -97,14 +95,6 @@ def evaluate(word: ResidueWord) -> Core:
     for _, core, _ in evaluate_steps(word):
         pass
     return core
-
-
-def is_alive(word: ResidueWord) -> bool:
-    try:
-        evaluate(word)
-    except DeadWordError:
-        return False
-    return True
 
 
 def standard_tableau_of_word(word: ResidueWord):
@@ -161,27 +151,16 @@ def cyclically_decreasing_word(residues, k: int) -> ResidueWord:
     return ResidueWord(tuple(letters), k)
 
 
-def apply_block(core: Core, residues, k: int | None = None) -> tuple[Core, tuple[Cell, ...]]:
+def apply_block(core: Core, residues) -> tuple[Core, tuple[Cell, ...]]:
     """Apply the cyclically decreasing block on a residue set, tracking cells.
 
     Returns the new core together with every cell the block's letter landed
     in (new cells for addable steps, existing corners for removable steps).
     Raises DeadWordError when some letter finds no corner.
     """
-    if k is None:
-        k = core.k
-    word = cyclically_decreasing_word(residues, k)
     touched: list[Cell] = []
-    for i in reversed(word.letters):
-        added = core.addable_of_residue(i)
-        if added:
-            touched.extend(added)
-            core = core.add_residue(i)
-            continue
-        marked = core.removable_of_residue(i)
-        if not marked:
-            raise DeadWordError(f"block {sorted(residues)}: letter {i} finds no corner on {core.shape}")
-        touched.extend(marked)
+    for _, core, cells in evaluate_steps(cyclically_decreasing_word(residues, core.k), core):
+        touched.extend(cells)
     return core, tuple(sorted(touched))
 
 
@@ -229,7 +208,7 @@ def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
             return
         for subset in combinations(range(k + 1), sizes[pos]):
             try:
-                nxt, _ = apply_block(core, subset, k)
+                nxt, _ = apply_block(core, subset)
             except DeadWordError:
                 continue
             if not contains(target.shape, nxt.shape):
@@ -241,31 +220,3 @@ def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
     rec(0, Core((), k), ())
     results.sort(key=lambda f: tuple(b.letters for b in f.blocks))
     return results
-
-
-class GrassmannianElement(Record):
-    """An affine grassmannian element, represented canonically by its core."""
-
-    __slots__ = ("core",)
-
-    def __init__(self, core: Core):
-        _set(self, "core", core)
-
-    @property
-    def k(self) -> int:
-        return self.core.k
-
-    @property
-    def length(self) -> int:
-        return self.core.size()
-
-    def canonical_word(self) -> ResidueWord:
-        return word_of_partition(self.core.to_bounded(), self.k)
-
-    @staticmethod
-    def from_partition(lam, k: int) -> "GrassmannianElement":
-        return GrassmannianElement(Core.from_bounded(check_partition(lam), k))
-
-    @staticmethod
-    def from_word(word: ResidueWord) -> "GrassmannianElement":
-        return GrassmannianElement(evaluate(word))

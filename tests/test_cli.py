@@ -173,6 +173,40 @@ def test_out_of_range_integers_exit_2(argv, capsys):
     assert code == 2 and out == "" and "must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["expand", "--family", "gk", "--partition", "2,1"], "needs --k"),
+        (
+            ["expand", "--family", "dks", "--partition", "2,1", "--k", "2", "--basis", "h"],
+            "lives in the quotient",
+        ),
+        (["expand", "--family", "s", "--partition", "2,x"], "cannot parse partition"),
+        (["tableaux", "--shape", "2,1", "--weight", "1,1,1"], "needs --k"),
+        (["tableaux", "--shape", "3", "--k", "2", "--weight", "1,1,1"], "is not 2-bounded"),
+        (["tableaux", "--shape", "2,1", "--k", "2"], "exactly one of"),
+        (
+            ["tableaux", "--shape", "2,1", "--k", "2", "--weight", "1", "--standard-degree", "1"],
+            "exactly one of",
+        ),
+        (["tableaux", "--shape", "2,1", "--k", "2", "--weight", "3"], "weight must be 2-bounded"),
+        (["tableaux", "--shape", "1", "--k", "2", "--weight", "1,x"], "cannot parse composition"),
+        (["tableaux", "--shape", "1", "--k", "2", "--weight", "1,-1"], "nonnegative"),
+        (["pieri", "row", "--partition", "2,1", "--r", "1"], "needs --k"),
+        (["pieri", "row", "--partition", "3", "--r", "1", "--k", "2"], "is not 2-bounded"),
+        (["kostka", "--deg-max", "2"], "needs --k"),
+        (["kostka", "--k", "2", "--shape", "3", "--weight", "1"], "is not 2-bounded"),
+        (["kostka", "--k", "2", "--shape", "1", "--weight", "3"], "weight must be 2-bounded"),
+        (["kostka", "--k", "2", "--shape", "2,1"], "both --shape and --weight"),
+        (["kostka", "--k", "2", "--weight", "2,1"], "both --shape and --weight"),
+    ],
+)
+def test_bad_input_exits_2(argv, fragment, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and fragment in err
+
+
 @pytest.mark.parametrize("deg_max", ["0", "1"])
 def test_verify_without_instances_fails(deg_max, capsys):
     code, out, _ = run_cli(capsys, "verify", "kostka-symmetry", "--k", "2", "--deg-max", deg_max)
@@ -183,6 +217,11 @@ def test_verify_without_instances_fails(deg_max, capsys):
 def test_verify_newton(capsys):
     code, doc, _ = run_json(capsys, "verify", "newton", "--deg-max", "6")
     assert code == 0 and doc["pass"] is True and doc["failures"] == []
+
+
+def test_verify_k_newton(capsys):
+    code, doc, _ = run_json(capsys, "verify", "k-newton", "--deg-max", "6")
+    assert code == 0 and doc["pass"] is True and doc["instances"] == 7
 
 
 def test_verify_duality_small(capsys):

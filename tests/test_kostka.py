@@ -40,3 +40,7 @@ def test_entries_are_sorted_rows():
     assert rows == sorted(rows)
     assert ((1,), (1, 1), 1) in rows
     assert len(rows) == sum(len(col) for col in matrix.columns.values())
+
+
+def test_affine_kostka_is_zero_when_the_weight_is_too_small():
+    assert kostka.affine_kostka((2, 1), (1, 1), 2) == 0

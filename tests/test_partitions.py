@@ -3,14 +3,14 @@ from hypothesis import given, strategies as st
 
 from kgroth.partitions import (
     Core,
+    add_cells,
+    addable_corners,
     bounded_to_core,
     check_partition,
     conjugate,
     core_to_bounded,
     degree,
     dominates,
-    extremal_cells,
-    hook_length,
     is_core,
     is_horizontal_strip,
     k_bounded_partitions,
@@ -62,14 +62,6 @@ def test_dominance():
     assert not dominates((2, 2), (2, 1))  # unequal degree
 
 
-def test_hook_lengths():
-    assert hook_length((1,), (0, 0)) == 1
-    assert hook_length((6, 4, 3, 1, 1, 1), (0, 0)) == 11
-    assert hook_length((3, 1, 1), (0, 1)) == 2
-    with pytest.raises(ValueError):
-        hook_length((2, 1), (0, 2))
-
-
 def test_residue_grid_of_five_core():
     # the canonical 5-residue labelling of (6,4,3,1,1,1)
     grid = {
@@ -91,14 +83,13 @@ def test_is_core_examples():
 
 
 def test_corners():
-    empty = Core((), 2)
-    assert empty.addable_corners() == [((0, 0), 0)]
-    core = Core((3, 1, 1), 2)
-    assert core.removable_corners() == [((0, 2), 2), ((2, 0), 1)]
+    assert addable_corners(()) == [(0, 0)]
+    shape = (3, 1, 1)
+    assert removable_corners(shape) == [(0, 2), (2, 0)]
+    assert [residue(c, 2) for c in removable_corners(shape)] == [2, 1]
     # all three addable cells carry residue 0
-    assert core.addable_corners() == [((0, 3), 0), ((1, 1), 0), ((3, 0), 0)]
-    assert ((0, 2), 2) in core.extremal_cells()
-    assert set(extremal_cells((3, 1, 1))) >= set(removable_corners((3, 1, 1)))
+    assert addable_corners(shape) == [(0, 3), (1, 1), (3, 0)]
+    assert {residue(c, 2) for c in addable_corners(shape)} == {0}
 
 
 def test_core_bounded_bijection_examples():
@@ -132,9 +123,24 @@ def test_small_hook_shapes_are_their_own_cores():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_no_addable_and_removable_corner_share_a_residue(k):
     for core in all_cores(6, k):
-        addable = {r for _, r in core.addable_corners()}
-        removable = {r for _, r in core.removable_corners()}
+        addable = {residue(c, k) for c in addable_corners(core.shape)}
+        removable = {residue(c, k) for c in removable_corners(core.shape)}
         assert not (addable & removable), core.shape
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_act_adds_the_addable_corners_or_marks_the_removable_ones(k):
+    for core in all_cores(6, k):
+        for i in range(k + 1):
+            addable = [c for c in addable_corners(core.shape) if residue(c, k) == i]
+            removable = [c for c in removable_corners(core.shape) if residue(c, k) == i]
+            after, touched = core.act(i)
+            if addable:
+                assert touched == tuple(addable)
+                assert after == Core(add_cells(core.shape, addable), k)
+            else:
+                assert touched == tuple(removable)
+                assert after is core
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -181,6 +181,22 @@ def test_schur_to_h_and_e_match_jacobi_trudi():
             assert convert(s(lam), "e").coeffs == jacobi_trudi_h(conjugate(lam)), lam
 
 
+def test_schur_products_match_jacobi_trudi():
+    # s_lam * s_mu in h is the concatenation product of the two determinants
+    for d in range(7):
+        for n in range(d + 1):
+            for lam in partitions_of(n):
+                for mu in partitions_of(d - n):
+                    want: dict = {}
+                    for a, ca in jacobi_trudi_h(lam).items():
+                        for b, cb in jacobi_trudi_h(mu).items():
+                            key = tuple(sorted(a + b, reverse=True))
+                            want[key] = want.get(key, 0) + ca * cb
+                    want = {key: c for key, c in want.items() if c}
+                    assert convert(s(lam) * s(mu), "h").coeffs == want, (lam, mu)
+    assert s((2,), deg_max=3) * s((2,)) == SymFunc("s", {}, 3)
+
+
 def test_h_and_e_to_schur_match_the_route_through_m():
     for d in range(8):
         for mu in partitions_of(d):

@@ -13,7 +13,7 @@ from kgroth.kostka import KostkaMatrix
 from kgroth.partitions import Core
 from kgroth.symfunc import SymFunc
 from kgroth.tableaux import AffineSVStrip, SetValuedFilling, StripChain
-from kgroth.words import Factorization, GrassmannianElement, ResidueWord
+from kgroth.words import Factorization, ResidueWord
 
 
 def _records():
@@ -36,12 +36,6 @@ def _records():
             "ResidueWord(letters=(2, 1), k=2)), k=2)",
             ("blocks", "k"),
             (blocks, 2),
-        ),
-        (
-            lambda: GrassmannianElement(Core((2,), 2)),
-            "GrassmannianElement(core=Core(shape=(2,), k=2))",
-            ("core",),
-            (core,),
         ),
         (
             lambda: AffineSVStrip(Core((2,), 2), Core((1,), 2), (1,), 1),
