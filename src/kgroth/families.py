@@ -489,23 +489,25 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
     from itertools import product as iproduct
 
     from .partitions import core_to_bounded
-    from .tableaux import enumerate_tableaux, is_affine_sv_tableau
+    from .tableaux import enumerate_tableaux, fits_affine_sv_blocks, is_standard_affine_sv
     from .words import DeadWordError, ResidueWord, alpha_factorizations, standard_tableau_of_word
 
     res = CheckResult("bijection", {"k": k, "deg_max": deg_max})
     for n in range(deg_max + 1):
-        # the (bounded shape, standard filling) pair of every alive word of length n
+        # the (bounded shape, standard filling) pair of every alive word of length n;
+        # standardness does not depend on the weight, so it is checked once per word
         alive = []
         for letters in iproduct(range(k + 1), repeat=n):
             try:
                 t = standard_tableau_of_word(ResidueWord(letters, k))
             except DeadWordError:
                 continue
-            alive.append((core_to_bounded(t.shape, k), t))
+            if is_standard_affine_sv(t, k):
+                alive.append((core_to_bounded(t.shape, k), t))
         for alpha in [a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)]:
             fillings_by_shape: dict[tuple[int, ...], set] = {}
             for lam, t in alive:
-                if is_affine_sv_tableau(t, alpha, k):
+                if fits_affine_sv_blocks(t, alpha, k):
                     fillings_by_shape.setdefault(lam, set()).add(t)
             for lam in k_bounded_up_to(n, k):
                 direct = fillings_by_shape.get(lam, set())

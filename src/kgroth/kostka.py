@@ -2,9 +2,16 @@
 
 The numbers count tableaux of a given shape and weight; one dynamic-programming
 sweep per weight produces a whole column at once, and a bulk matrix takes one
-sweep step per weight over the prefix tree of the weights.  Bulk matrices are
-persisted as versioned JSON, written atomically so concurrent readers never
-see a torn file, and spot-checked when read back.
+sweep step per weight over the prefix tree of the weights.  The process keeps
+one matrix per k, the one of the largest deg_max built or loaded; it answers
+every smaller deg_max too, since a shape is never larger than its weight.
+
+Bulk matrices are persisted as versioned JSON, written atomically so
+concurrent readers never see a torn file, and spot-checked when read back.
+The version 2 file is column-major: the sorted list of k-bounded partitions
+of degree <= deg_max, once, indexes both shapes and weights, and each
+weight, in that order, has one flat [shape index, count, ...] list.  Files
+of other versions have other names and are never read.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .partitions import (
 )
 from .tableaux import _affine_steps, _walk_weights, kostka_column
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # a loaded file's columns of weights up to this degree are compared with
 # fresh sweeps, which stay a few short ones at any k
@@ -39,14 +46,12 @@ def _column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
 def weight_column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
     """All affine Kostka numbers of the k-bounded weight partition mu, keyed by shape.
 
-    A matrix built or loaded in this process answers when it covers the
-    weight; otherwise one sweep computes the column.  Callers must not mutate
-    the result.
+    The matrix held for k answers when it covers the weight; otherwise one
+    sweep computes the column.  Callers must not mutate the result.
     """
-    for (kk, bound), matrix in _MEMO.items():
-        if kk == k and bound >= degree(mu):
-            return matrix.columns.get(mu, {})
-    return _column(mu, k)
+    matrix = _MATRICES.get(k)
+    column = matrix.columns.get(mu) if matrix is not None else None
+    return _column(mu, k) if column is None else column
 
 
 def affine_kostka(lam, mu, k: int) -> int:
@@ -87,21 +92,27 @@ class KostkaMatrix(Record):
         return sorted((lam, mu, v) for mu, col in self.columns.items() for lam, v in col.items())
 
 
-_MEMO: dict[tuple[int, int], KostkaMatrix] = {}
+# per k, the matrix of the largest deg_max built or loaded in this process
+_MATRICES: dict[int, KostkaMatrix] = {}
 
 
 def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> KostkaMatrix:
     """Build (or load) the matrix of entries with |lam| <= |mu| <= deg_max."""
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
-    key = (k, deg_max)
-    matrix = _MEMO.get(key)
-    if matrix is None and cache_dir:
-        matrix = _load(k, deg_max, cache_dir)
-    built = matrix is None
-    if built:
-        matrix = KostkaMatrix(k, deg_max, _all_columns(k, deg_max))
-    _MEMO[key] = matrix
+    matrix = _MATRICES.get(k)
+    built = False
+    if matrix is None or matrix.deg_max < deg_max:
+        matrix = _load(k, deg_max, cache_dir) if cache_dir else None
+        built = matrix is None
+        if built:
+            matrix = KostkaMatrix(k, deg_max, _all_columns(k, deg_max))
+        _MATRICES[k] = matrix
+    elif matrix.deg_max > deg_max:
+        # |lam| <= |mu|, so the columns of the smaller weights are exact
+        matrix = KostkaMatrix(k, deg_max, {
+            mu: col for mu, col in matrix.columns.items() if degree(mu) <= deg_max
+        })
     # a file that failed to load is replaced
     if cache_dir and (built or not os.path.exists(_cache_path(k, deg_max, cache_dir))):
         _save(matrix, cache_dir)
@@ -133,9 +144,17 @@ def _load(k: int, deg_max: int, cache_dir: str) -> KostkaMatrix | None:
         return None
     columns: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     try:
-        for lam, mu, v in data.get("entries", []):
-            columns.setdefault(tuple(mu), {})[tuple(lam)] = int(v)
-    except (TypeError, ValueError):
+        parts = [tuple(p) for p in data["partitions"]]
+        flats = data["columns"]
+        if len(flats) != len(parts):
+            return None
+        for mu, flat in zip(parts, flats):
+            index = flat[::2]
+            # a negative index would count from the end of the list
+            if len(flat) % 2 or (index and min(index) < 0):
+                return None
+            columns[mu] = dict(zip(map(parts.__getitem__, index), map(int, flat[1::2])))
+    except (KeyError, TypeError, ValueError, IndexError):
         return None
     if not _plausible(columns, k, deg_max):
         return None
@@ -163,11 +182,20 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
 
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(matrix.k, matrix.deg_max, cache_dir)
+    # the weights are all the k-bounded partitions of degree <= deg_max, so
+    # their list indexes every shape too
+    parts = sorted(matrix.columns)
+    index = {lam: i for i, lam in enumerate(parts)}
     payload = {
         "format_version": FORMAT_VERSION,
         "k": matrix.k,
         "deg_max": matrix.deg_max,
-        "entries": matrix.entries,
+        "partitions": parts,
+        "columns": [
+            [x for entry in sorted((index[lam], v) for lam, v in matrix.columns[mu].items())
+             for x in entry]
+            for mu in parts
+        ],
     }
     # write-then-rename keeps readers away from partial files
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

@@ -212,13 +212,21 @@ def alphabet_blocks(alpha) -> list[range]:
 
 def is_affine_sv_tableau(t: SetValuedFilling, alpha, k: int) -> bool:
     """Direct-definition oracle for affine set-valued tableaux of weight alpha."""
+    return fits_affine_sv_blocks(t, alpha, k) and is_standard_affine_sv(t, k)
+
+
+def fits_affine_sv_blocks(t: SetValuedFilling, alpha, k: int) -> bool:
+    """The conditions that weight alpha adds to the standard ones.
+
+    Each block of letters holds at most k letters, read in increasing order
+    by the lowest reading word, on distinct residues and in distinct columns;
+    the blocks use up the letters of t.
+    """
     blocks = alphabet_blocks(alpha)
     n = sum(len(b) for b in blocks)
     if any(len(b) > k for b in blocks):
         return False
     if t.max_letter() != n:
-        return False
-    if not is_standard_affine_sv(t, k):
         return False
     for block in blocks:
         word = lowest_reading_word(t, block)

@@ -251,7 +251,7 @@ def test_kostka_verb(capsys):
     assert entries[((1,), (1, 1))] == 1
 
 
-def test_kostka_cache_roundtrip(tmp_path, capsys):
+def test_kostka_cache_roundtrip(tmp_path, capsys, empty_kostka_cache):
     code1, doc1, _ = run_json(
         capsys, "kostka", "--k", "2", "--deg-max", "3", "--cache-dir", str(tmp_path)
     )
@@ -259,18 +259,16 @@ def test_kostka_cache_roundtrip(tmp_path, capsys):
     assert files and files[0].suffix == ".json"
     import kgroth.kostka as kostka
 
-    kostka._MEMO.clear()
+    kostka._MATRICES.clear()
     code2, doc2, _ = run_json(
         capsys, "kostka", "--k", "2", "--deg-max", "3", "--cache-dir", str(tmp_path)
     )
     assert doc1 == doc2
-    kostka._MEMO.clear()
 
 
-def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys):
+def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys, empty_kostka_cache):
     import kgroth.kostka as kostka
 
-    kostka._MEMO.clear()
     for family in ("gk", "ks", "dks"):
         code, _, _ = run_json(capsys, "expand", "--family", family, "--partition", "2,1",
                               "--k", "2", "--deg-max", "5", "--cache-dir", str(tmp_path))
@@ -281,14 +279,13 @@ def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys):
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(
         kostka._cache_path(2, 5, str(tmp_path)))]
-    kostka._MEMO.clear()
 
 
 @pytest.mark.parametrize("content", ["other-degree", "not-an-object", "not-ascii", "bad-rows"])
-def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsys):
+def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsys,
+                                                        empty_kostka_cache):
     import kgroth.kostka as kostka
 
-    kostka._MEMO.clear()
     _, want, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4")
     planted = kostka._cache_path(2, 4, str(tmp_path))
     if content == "other-degree":
@@ -304,14 +301,14 @@ def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsy
             fh.write(b'{"k": "\xff"}')
     else:
         with open(planted, "w", encoding="ascii") as fh:
-            fh.write('{"format_version": 1, "k": 2, "deg_max": 4, "entries": [[1, 2]]}')
-    kostka._MEMO.clear()
+            fh.write('{"format_version": 2, "k": 2, "deg_max": 4, "partitions": [[1]], '
+                     '"columns": [[[1], 1]]}')
+    kostka._MATRICES.clear()
     _, got, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4",
                          "--cache-dir", str(tmp_path))
     assert got == want
     with open(planted, encoding="ascii") as fh:
         assert json.load(fh)["deg_max"] == 4
-    kostka._MEMO.clear()
 
 
 def _write_json(path, data) -> None:
@@ -319,8 +316,12 @@ def _write_json(path, data) -> None:
         fh.write(json.dumps(data, sort_keys=True))
 
 
-@pytest.mark.parametrize("corruption", ["planted", "top-diagonal", "low-degree", "missing-weight"])
-def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, capsys):
+@pytest.mark.parametrize("corruption", [
+    "planted", "top-diagonal", "low-degree", "missing-weight", "v1-body", "v1-rows-as-v2",
+    "negative-index", "index-past-end", "odd-length", "extra-column",
+])
+def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, capsys,
+                                                         empty_kostka_cache):
     import kgroth.kostka as kostka
 
     if corruption == "planted":
@@ -329,33 +330,55 @@ def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, c
     else:
         deg_max = 5
         argv = ["kostka", "--k", "2", "--deg-max", "5"]
-    kostka._MEMO.clear()
     fresh = tmp_path / "fresh"
     _, want, _ = run_cli(capsys, *argv, "--cache-dir", str(fresh))
-    kostka._MEMO.clear()
+    kostka._MATRICES.clear()
     fresh_path = kostka._cache_path(2, deg_max, str(fresh))
     planted = kostka._cache_path(2, deg_max, str(tmp_path))
+    with open(fresh_path, encoding="ascii") as fh:
+        data = json.load(fh)
+    parts, columns = data["partitions"], data["columns"]
+    # the first top-degree weight, and the position of its first off-diagonal shape
+    top = next(j for j, mu in enumerate(parts) if sum(mu) == deg_max)
+    off = next(p for p in range(0, len(columns[top]), 2) if columns[top][p] != top)
     if corruption == "planted":
-        _write_json(planted, {"format_version": 1, "k": 2, "deg_max": 3,
-                              "entries": [[[1], [1], 5]]})
+        data = {"format_version": 2, "k": 2, "deg_max": 3, "partitions": [[1]],
+                "columns": [[0, 5]]}
+    elif corruption == "top-diagonal":
+        flat = columns[top]
+        flat[flat.index(top) + 1] = 2
+    elif corruption == "low-degree":
+        j = next(j for j, mu in enumerate(parts) if sum(mu) == 2)
+        p = next(p for p in range(0, len(columns[j]), 2) if columns[j][p] != j)
+        columns[j][p + 1] += 1
+    elif corruption == "missing-weight":
+        # (2, 2, 1) is gone both as a weight and as a shape
+        matrix = kostka._load(2, deg_max, str(fresh))
+        kostka._save(kostka.KostkaMatrix(2, deg_max, {
+            mu: {lam: v for lam, v in col.items() if lam != (2, 2, 1)}
+            for mu, col in matrix.columns.items() if mu != (2, 2, 1)
+        }), str(tmp_path))
+        data = None
+    elif corruption in ("v1-body", "v1-rows-as-v2"):
+        # the rows the version 1 writer wrote, with its header or the current one
+        matrix = kostka._load(2, deg_max, str(fresh))
+        data = {"format_version": 1 if corruption == "v1-body" else 2, "k": 2,
+                "deg_max": deg_max, "entries": matrix.entries}
+    elif corruption == "negative-index":
+        # the same shape counted from the end of the list
+        columns[top][off] -= len(parts)
+    elif corruption == "index-past-end":
+        columns[top][off] += len(parts)
+    elif corruption == "odd-length":
+        columns[top].append(1)
     else:
-        with open(fresh_path, encoding="ascii") as fh:
-            data = json.load(fh)
-        rows = data["entries"]
-        if corruption == "top-diagonal":
-            row = next(r for r in rows if r[0] == r[1] and sum(r[1]) == deg_max)
-            row[2] = 2
-        elif corruption == "low-degree":
-            row = next(r for r in rows if r[0] != r[1] and sum(r[1]) == 2)
-            row[2] += 1
-        else:
-            data["entries"] = [r for r in rows if r[1] != [2, 2, 1]]
+        columns.append([0, 1])
+    if data is not None:
         _write_json(planted, data)
     code, got, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0 and got == want
     with open(planted, "rb") as fh, open(fresh_path, "rb") as good:
         assert fh.read() == good.read()
-    kostka._MEMO.clear()
 
 
 # SHA-256 of `kgroth kostka --k 3 --deg-max 6 --format json` stdout, recorded
@@ -363,14 +386,10 @@ def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, c
 KOSTKA_K3_D6_STDOUT_SHA256 = "b2b8b8f5716294e47df19fd4801ab3101a5b55531e5943d963b33d69c3e652da"
 
 
-def test_kostka_matrix_stdout_is_pinned(capsys):
-    import kgroth.kostka as kostka
-
-    kostka._MEMO.clear()
+def test_kostka_matrix_stdout_is_pinned(capsys, empty_kostka_cache):
     code, out, _ = run_cli(capsys, "kostka", "--k", "3", "--deg-max", "6", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == KOSTKA_K3_D6_STDOUT_SHA256
-    kostka._MEMO.clear()
 
 
 def test_internal_value_error_exits_1(monkeypatch, capsys):
@@ -385,15 +404,11 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     assert err.startswith("internal error") and "a fault inside the library" in err
 
 
-def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
-    import kgroth.kostka as kostka
-
-    kostka._MEMO.clear()
+def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch, empty_kostka_cache):
     monkeypatch.setenv("KGROTH_CACHE_DIR", str(tmp_path))
     code, _, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "2")
     assert code == 0
     assert any(p.suffix == ".json" for p in tmp_path.iterdir())
-    kostka._MEMO.clear()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
@@ -402,10 +417,8 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     ["kostka", "--k", "2", "--deg-max", "2"],
     ["expand", "--family", "Gk", "--partition", "1", "--k", "2", "--deg-max", "2"],
 ], ids=["kostka", "expand"])
-def test_cache_dir_that_is_a_file_exits_2(argv, route, below, tmp_path, capsys, monkeypatch):
-    import kgroth.kostka as kostka
-
-    kostka._MEMO.clear()
+def test_cache_dir_that_is_a_file_exits_2(argv, route, below, tmp_path, capsys, monkeypatch,
+                                          empty_kostka_cache):
     blocker = tmp_path / "F"
     blocker.write_text("kept")
     path = blocker / "sub" if below else blocker
@@ -417,7 +430,6 @@ def test_cache_dir_that_is_a_file_exits_2(argv, route, below, tmp_path, capsys, 
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(path) in err
     assert blocker.read_text() == "kept"
-    kostka._MEMO.clear()
 
 
 # SHA-256 of `kgroth expand --family gk --partition 4,4,3,2,1 --k 4 --basis s

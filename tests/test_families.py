@@ -280,12 +280,12 @@ def test_kostka_symmetry_reports_a_wrong_column(monkeypatch):
 def test_bijection_reports_missing_direct_fillings(monkeypatch):
     import kgroth.tableaux as tableaux
 
-    true = tableaux.is_affine_sv_tableau
+    true = tableaux.fits_affine_sv_blocks
 
     def planted(t, alpha, k):
         return tuple(alpha) != (2, 1) and true(t, alpha, k)
 
-    monkeypatch.setattr(tableaux, "is_affine_sv_tableau", planted)
+    monkeypatch.setattr(tableaux, "fits_affine_sv_blocks", planted)
     res = verify_bijection(2, 3)
     assert res.instances == 58
     assert res.failures == [

@@ -6,9 +6,9 @@ import kgroth.kostka as kostka
 from kgroth.partitions import k_bounded_up_to
 from kgroth.tableaux import kostka_column
 
-# SHA-256 of affine_kostka_k3_d8_v1.json as written before the matrix was
-# built by one walk over the prefix tree of the weights; pins the file format
-K3_D8_FILE_SHA256 = "6c7ab25cc38f283532ba9ee4e9d583e0ada414679eed8cda4afaa1e7c2493ffa"
+# SHA-256 of affine_kostka_k3_d8_v2.json as first written by the column-major
+# format; pins the file format
+K3_D8_FILE_SHA256 = "112a86b1ce5e95e3d00b5f4312fc2bea0db54af97adee21140edb307afc8d146"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -21,17 +21,26 @@ def test_prefix_tree_matches_per_weight_sweeps(k):
         assert columns[mu][mu] == 1
 
 
-def test_cache_file_bytes_are_pinned(tmp_path):
-    kostka._MEMO.clear()
-    try:
-        matrix = kostka.build_affine_kostka(3, 8, str(tmp_path))
-        path = kostka._cache_path(3, 8, str(tmp_path))
-        with open(path, "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == K3_D8_FILE_SHA256
-        loaded = kostka._load(3, 8, str(tmp_path))
-        assert loaded is not None and loaded.columns == matrix.columns
-    finally:
-        kostka._MEMO.clear()
+def test_cache_file_bytes_are_pinned(tmp_path, empty_kostka_cache):
+    matrix = kostka.build_affine_kostka(3, 8, str(tmp_path))
+    path = kostka._cache_path(3, 8, str(tmp_path))
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == K3_D8_FILE_SHA256
+    loaded = kostka._load(3, 8, str(tmp_path))
+    assert loaded is not None and loaded.columns == matrix.columns
+
+
+def test_a_smaller_matrix_is_a_slice_of_the_held_one(tmp_path, empty_kostka_cache):
+    large = kostka.build_affine_kostka(3, 8)
+    small = kostka.build_affine_kostka(3, 5, str(tmp_path / "slice"))
+    assert kostka._MATRICES[3] is large
+    assert small.deg_max == 5 and set(small.columns) == set(k_bounded_up_to(5, 3))
+    kostka._MATRICES.clear()
+    fresh = kostka.build_affine_kostka(3, 5, str(tmp_path / "fresh"))
+    assert small == fresh
+    with open(kostka._cache_path(3, 5, str(tmp_path / "slice")), "rb") as fh, \
+            open(kostka._cache_path(3, 5, str(tmp_path / "fresh")), "rb") as good:
+        assert fh.read() == good.read()
 
 
 def test_entries_are_sorted_rows():
