@@ -490,7 +490,7 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
 
     from .partitions import core_to_bounded
     from .tableaux import enumerate_tableaux, fits_affine_sv_blocks, is_standard_affine_sv
-    from .words import DeadWordError, ResidueWord, alpha_factorizations, standard_tableau_of_word
+    from .words import DeadWordError, ResidueWord, factorizations_by_shape, standard_tableau_of_word
 
     res = CheckResult("bijection", {"k": k, "deg_max": deg_max})
     for n in range(deg_max + 1):
@@ -505,6 +505,7 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
             if is_standard_affine_sv(t, k):
                 alive.append((core_to_bounded(t.shape, k), t))
         for alpha in [a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)]:
+            factorizations = factorizations_by_shape(alpha, k)
             fillings_by_shape: dict[tuple[int, ...], set] = {}
             for lam, t in alive:
                 if fits_affine_sv_blocks(t, alpha, k):
@@ -518,7 +519,7 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
                     f"chain fillings differ from direct fillings at lam={lam}, alpha={alpha}",
                 )
                 count = count_kostka(lam, alpha, k)
-                factor = len(alpha_factorizations(lam, alpha, k))
+                factor = len(factorizations.get(lam, ()))
                 res.record(
                     len(chains) == count == factor == len(direct),
                     f"counts disagree at lam={lam}, alpha={alpha}: chains={len(chains)} "

@@ -184,6 +184,23 @@ def _check_core(shape, k: int) -> tuple[int, ...]:
     return shape
 
 
+@cache
+def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
+    """The corner step of letter i on a (k+1)-core: the shape after it and the cells it touches.
+
+    Adds every addable i-corner when there is one; otherwise the shape stays
+    and its removable i-corners are marked.  No touched cell means there is
+    neither kind of i-corner: the letter is dead on this core.  Cells come
+    bottom row first.  This is the one letter rule; Core.act wraps it and the
+    strip transitions step through it directly.
+    """
+    i %= k + 1
+    added = tuple(c for c in addable_corners(shape) if residue(c, k) == i)
+    if added:
+        return add_cells(shape, added), added
+    return shape, tuple(c for c in removable_corners(shape) if residue(c, k) == i)
+
+
 # Most cores are built by the library itself, from tuples, and the same few
 # shapes recur across the sweeps, so the check is memoized per (shape, k).
 _check_core_tuple = cache(_check_core)
@@ -213,24 +230,20 @@ class Core(Record):
     def residue(self, cell: Cell) -> int:
         return residue(cell, self.k)
 
-    def addable_of_residue(self, i: int) -> list[Cell]:
-        return [c for c in addable_corners(self.shape) if self.residue(c) == i % self.level]
-
     def removable_of_residue(self, i: int) -> list[Cell]:
         return [c for c in removable_corners(self.shape) if self.residue(c) == i % self.level]
 
     def act(self, i: int) -> tuple["Core", tuple[Cell, ...]]:
         """The corner step of letter i: the core after it and the cells it touches.
 
-        Adds every addable i-corner when there is one; otherwise the core
-        stays and its removable i-corners are marked.  No touched cell means
-        there is neither kind of i-corner: the letter is dead on this core.
-        Cells come bottom row first.
+        See _corner_step; the core itself comes back when the letter adds
+        nothing.
         """
-        added = self.addable_of_residue(i)
-        if added:
-            return Core(add_cells(self.shape, added), self.k), tuple(added)
-        return self, tuple(self.removable_of_residue(i))
+        shape, touched = _corner_step(self.shape, self.k, i)
+        # the cached result may hold an equal but different tuple
+        if shape == self.shape:
+            return self, touched
+        return Core(shape, self.k), touched
 
     def add_residue(self, i: int) -> "Core":
         """Add every addable i-corner; identity when there is none."""

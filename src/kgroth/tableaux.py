@@ -4,7 +4,9 @@ Two independent constructions of the same tableau family live here: chains
 of affine set-valued strips (the production path, also used for counting)
 and the literal definition checker used as an oracle.  The strip sets are
 produced by applying cyclically decreasing blocks of marked letters, one
-subset of residues per block.
+subset of residues per block: each block's letters, cached per block size,
+step the shape tuple through partitions._corner_step, the letter rule that
+Core.act wraps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .partitions import (
     Cell,
     Core,
     Record,
+    _corner_step,
     _set,
     add_cells,
     addable_corners,
@@ -32,7 +35,7 @@ from .partitions import (
     residue,
     skew_cells,
 )
-from .words import DeadWordError, apply_block
+from .words import cyclically_decreasing_word
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +337,38 @@ def is_affine_sv_strip(s: AffineSVStrip) -> bool:
 
 
 @cache
+def _block_letters(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The letters of the block on every r-subset of [0, k], in evaluation order.
+
+    Subsets come in combinations order; each block's letters are those of
+    its cyclically decreasing word, rightmost first.
+    """
+    return tuple(
+        cyclically_decreasing_word(subset, k).letters[::-1]
+        for subset in combinations(range(k + 1), r)
+    )
+
+
+@cache
 def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
     """All (gamma_shape, rho) reachable from beta by one marked block of size r."""
-    beta = Core(beta_shape, k)
+    Core(beta_shape, k)  # rejects a shape that is not a (k+1)-core
     if r == 0:
         return ((beta_shape, beta_shape),)
     out = []
-    for subset in combinations(range(k + 1), r):
-        try:
-            gamma, touched = apply_block(beta, subset)
-        except DeadWordError:
-            continue
-        rows = list(gamma.shape)
-        for i, _ in touched:
-            rows[i] -= 1
-        rho = tuple(v for v in rows if v > 0)
-        out.append((gamma.shape, rho))
+    for letters in _block_letters(r, k):
+        gamma = beta_shape
+        touched: list[Cell] = []
+        for i in letters:
+            gamma, cells = _corner_step(gamma, k, i)
+            if not cells:
+                break
+            touched.extend(cells)
+        else:
+            rows = list(gamma)
+            for row, _ in touched:
+                rows[row] -= 1
+            out.append((gamma, tuple(v for v in rows if v > 0)))
     out.sort()
     return tuple(out)
 

@@ -16,8 +16,6 @@ from .partitions import (
     Record,
     _set,
     check_partition,
-    contains,
-    degree,
     is_k_bounded,
     residue_word,
 )
@@ -184,39 +182,43 @@ class Factorization(Record):
         return ResidueWord(tuple(letters), self.k)
 
 
-def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
-    """All factorizations of lam's grassmannian element with block sizes alpha.
+def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[Factorization]]:
+    """Every factorization with block sizes alpha, keyed by its k-bounded shape.
 
-    Blocks are subsets of [0, k] (each subset carries a unique cyclically
-    decreasing element); a tuple of subsets qualifies when every letter finds
-    a corner and the final core is the core image of lam.  Zero parts of
-    alpha are skipped.
+    One search over tuples of blocks: blocks are subsets of [0, k] (each
+    subset carries a unique cyclically decreasing element), and a tuple
+    qualifies when every letter finds a corner; it factors the grassmannian
+    element of the bounded image of its final core.  Zero parts of alpha are
+    skipped.  Each list is sorted by the letters of its blocks.
     """
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
     sizes = [int(a) for a in alpha if int(a) != 0]
     if any(a < 0 or a > k for a in sizes):
         raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
-    target = Core.from_bounded(lam, k)
-    results: list[Factorization] = []
+    groups: dict[tuple[int, ...], list[Factorization]] = {}
 
     def rec(pos: int, core: Core, chosen: tuple[ResidueWord, ...]):
         if pos == len(sizes):
-            if core.shape == target.shape:
-                results.append(Factorization(chosen, k))
+            groups.setdefault(core.to_bounded(), []).append(Factorization(chosen, k))
             return
         for subset in combinations(range(k + 1), sizes[pos]):
             try:
                 nxt, _ = apply_block(core, subset)
             except DeadWordError:
                 continue
-            if not contains(target.shape, nxt.shape):
-                continue
-            if nxt.size() > degree(lam):
-                continue
             rec(pos + 1, nxt, chosen + (cyclically_decreasing_word(subset, k),))
 
     rec(0, Core((), k), ())
-    results.sort(key=lambda f: tuple(b.letters for b in f.blocks))
-    return results
+    for facts in groups.values():
+        facts.sort(key=lambda f: tuple(b.letters for b in f.blocks))
+    return groups
+
+
+def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
+    """All factorizations of lam's grassmannian element with block sizes alpha.
+
+    The lam entry of factorizations_by_shape(alpha, k).
+    """
+    lam = check_partition(lam)
+    if not is_k_bounded(lam, k):
+        raise ValueError(f"{lam} is not {k}-bounded")
+    return factorizations_by_shape(alpha, k).get(lam, [])

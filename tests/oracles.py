@@ -20,6 +20,7 @@ from kgroth.partitions import (
     removable_corners,
 )
 from kgroth.tableaux import AffineSVStrip, SetValuedFilling, is_affine_sv_strip
+from kgroth.words import DeadWordError, apply_block
 
 
 class AffPerm:
@@ -180,6 +181,30 @@ def sv_strips_brute(beta: Core, r: int) -> list[tuple[tuple[int, ...], tuple[int
             if is_affine_sv_strip(strip):
                 found.append((gamma_shape, rho))
     return sorted(found)
+
+
+def strip_transitions_by_blocks(beta_shape: tuple[int, ...], r: int, k: int):
+    """The (gamma, rho) pairs of one marked r-block on beta, sorted.
+
+    Applies the block of every r-subset of [0, k], in combinations order,
+    through words.apply_block and drops the dead ones; rho is gamma less the
+    cells the block touched.
+    """
+    beta = Core(beta_shape, k)
+    if r == 0:
+        return ((beta_shape, beta_shape),)
+    out = []
+    for subset in combinations(range(k + 1), r):
+        try:
+            gamma, touched = apply_block(beta, subset)
+        except DeadWordError:
+            continue
+        rows = list(gamma.shape)
+        for i, _ in touched:
+            rows[i] -= 1
+        out.append((gamma.shape, tuple(v for v in rows if v > 0)))
+    out.sort()
+    return tuple(out)
 
 
 def _shapes_over(beta: tuple[int, ...], width: int):

@@ -148,7 +148,7 @@ def test_add_residue_grows_by_one(k):
     for core in all_cores(6, k):
         for i in range(k + 1):
             grown = core.add_residue(i)
-            if core.addable_of_residue(i):
+            if any(residue(c, k) == i for c in addable_corners(core.shape)):
                 assert grown.size() == core.size() + 1
             else:
                 assert grown == core

@@ -7,6 +7,7 @@ from kgroth.symfunc import distinct_permutations
 from kgroth.tableaux import (
     AffineSVStrip,
     SetValuedFilling,
+    _strip_transitions,
     alphabet_blocks,
     compress_filling,
     count_classical_kostka,
@@ -43,6 +44,7 @@ from known_values import (
 from oracles import (
     classical_sv_count,
     semistandard_fillings,
+    strip_transitions_by_blocks,
     sv_strips_brute,
     vertical_strips_brute,
 )
@@ -174,6 +176,16 @@ def test_strips_match_brute_force(k):
             fast = sorted((g.shape, rho) for g, rho in enumerate_sv_strips(beta, r))
             brute = [(g, rho) for g, rho in sv_strips_brute(beta, r)]
             assert fast == brute, (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_strip_transitions_match_block_application(k):
+    # tuple equality: the order enumerate_sv_strips and `pieri --strips` print is pinned too
+    for lam in k_bounded_up_to(7, k):
+        shape = bounded_to_core(lam, k).shape
+        for r in range(k + 1):
+            got = _strip_transitions(shape, r, k)
+            assert got == strip_transitions_by_blocks(shape, r, k), (lam, r)
 
 
 def test_every_enumerated_strip_passes_the_checker():
