@@ -299,17 +299,18 @@ def cmd_kostka(args) -> int:
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")
         return 0
     deg_max = args.deg_max if args.deg_max is not None else 4
-    matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
-    entries = [
-        {"shape": list(lam), "weight": list(mu), "count": v} for lam, mu, v in matrix.entries
-    ]
-    payload = {"k": k, "deg_max": deg_max, "entries": entries}
-    lines = [f"kostka matrix k={k} deg-max={deg_max}: {len(entries)} nonzero entries"]
-    lines.extend(
-        f"  K[{','.join(map(str, e['shape']))} | {','.join(map(str, e['weight']))}] = {e['count']}"
-        for e in entries
-    )
-    _emit(args, payload, "\n".join(lines))
+    rows = kostka.build_affine_kostka(k, deg_max, _cache_dir(args)).entries
+    # a matrix can have over 10^5 entries, so only the requested output is built
+    if args.format == "json":
+        entries = [{"shape": list(lam), "weight": list(mu), "count": v} for lam, mu, v in rows]
+        print(json.dumps({"k": k, "deg_max": deg_max, "entries": entries}, sort_keys=True))
+    else:
+        lines = [f"kostka matrix k={k} deg-max={deg_max}: {len(rows)} nonzero entries"]
+        lines.extend(
+            f"  K[{','.join(map(str, lam))} | {','.join(map(str, mu))}] = {v}"
+            for lam, mu, v in rows
+        )
+        print("\n".join(lines))
     return 0
 
 

@@ -54,11 +54,6 @@ def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
     return SymFunc("h", {mu: -c if (n - degree(mu)) % 2 else c for mu, c in solved.items()})
 
 
-@cache
-def _classical_column(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return classical_kostka_column(mu)
-
-
 def _series(lam: tuple[int, ...], deg_max: int, weights, column, *args) -> dict:
     """m-coefficients (-1)^(|mu|-|lam|) column(mu)[lam], mu in weights(d), |lam| <= d <= deg_max."""
     n = degree(lam)
@@ -81,13 +76,13 @@ def _series(lam: tuple[int, ...], deg_max: int, weights, column, *args) -> dict:
 @cache
 def dual_grothendieck(lam) -> SymFunc:
     """Exact h-expansion, from inverting the set-valued weight system."""
-    return _solve_h(check_partition(lam), _classical_column)
+    return _solve_h(check_partition(lam), classical_kostka_column)
 
 
 def grothendieck(lam, deg_max: int) -> SymFunc:
     """Monomial expansion of the stable Grothendieck polynomial, truncated."""
     lam = check_partition(lam)
-    return SymFunc("m", _series(lam, deg_max, partitions_of, _classical_column), deg_max)
+    return SymFunc("m", _series(lam, deg_max, partitions_of, classical_kostka_column), deg_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Affine set-valued Kostka numbers: memoized columns, bulk matrices, cache.
 
-The numbers count tableaux of a given shape and weight; one dynamic-programming
-sweep per weight produces a whole column at once, and a bulk matrix takes one
-sweep step per weight over the prefix tree of the weights.  The process keeps
-one matrix per k, the one of the largest deg_max built or loaded; it answers
-every smaller deg_max too, since a shape is never larger than its weight.
+The numbers count tableaux of a given shape and weight.  Every column is a
+read of tableaux.sweep, which keeps the states of each weight prefix it has
+swept, so a bulk matrix, every column of the weights up to deg_max, takes one
+sweep step per weight.  The process keeps one matrix per k, the one of the
+largest deg_max built or loaded; it answers every smaller deg_max too, since
+a shape is never larger than its weight.
 
 Bulk matrices are persisted as versioned JSON, written atomically so
 concurrent readers never see a torn file, and spot-checked when read back.
@@ -24,12 +25,11 @@ from .partitions import (
     Record,
     _set,
     check_partition,
-    core_to_bounded,
     degree,
     is_k_bounded,
     k_bounded_up_to,
 )
-from .tableaux import _affine_steps, _walk_weights, kostka_column
+from .tableaux import _affine_steps, kostka_column, sweep
 
 FORMAT_VERSION = 2
 
@@ -38,6 +38,8 @@ FORMAT_VERSION = 2
 CHECKED_DEGREE = 3
 
 
+# sweep() already keeps every column it reads; this cache stays because the
+# traced benchmark run reports its cache_info()
 @cache
 def _column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
     return kostka_column(mu, k)
@@ -120,11 +122,8 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
 
 
 def _all_columns(k: int, deg_max: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """The column of every k-bounded weight of degree <= deg_max, in one walk."""
-    return {
-        mu: {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
-        for mu, states in _walk_weights(deg_max, k, _affine_steps, k)
-    }
+    """Every column up to deg_max; by increasing degree, each read is one sweep step."""
+    return {mu: sweep(mu, _affine_steps, k) for mu in k_bounded_up_to(deg_max, k)}
 
 
 def _cache_path(k: int, deg_max: int, cache_dir: str) -> str:

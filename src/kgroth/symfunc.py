@@ -14,8 +14,8 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
 
-from .partitions import Record, _set, check_partition, conjugate, degree
-from .tableaux import schur_kostka
+from .partitions import Record, _set, check_partition, conjugate, degree, dominates, partitions_of
+from .tableaux import _horizontal_strips, sweep
 
 BASES = ("m", "h", "e", "s")
 
@@ -288,13 +288,17 @@ def _multinomial(ns: list[int]) -> int:
 
 @cache
 def _s_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Row lam of the Kostka matrix: s_lam = sum_mu K(lam, mu) m_mu."""
-    return {mu: col[lam] for mu, col in schur_kostka(degree(lam)).items() if lam in col}
+    """Row lam of the Kostka matrix: s_lam = sum_mu K(lam, mu) m_mu.
+
+    K(lam, mu) is positive exactly when lam dominates mu, so only those
+    columns are read.
+    """
+    return {mu: _h_in_s(mu)[lam] for mu in partitions_of(degree(lam)) if dominates(lam, mu)}
 
 
 def _h_in_s(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Column mu of the Kostka matrix: h_mu = sum_lam K(lam, mu) s_lam."""
-    return schur_kostka(degree(mu))[mu]
+    return sweep(mu, _horizontal_strips)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,8 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis among m, h, e, s; truncation bound is preserved.
 
     Every conversion goes to s and then from s, each step a row read, a
-    column read or a unitriangular solve against the degree-n Kostka matrix.
+    column read or a unitriangular solve against the classical Kostka
+    numbers; each column is swept only when a step reads it.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")

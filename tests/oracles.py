@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 from kgroth.partitions import (
     Core,
     conjugate,
+    core_to_bounded,
     is_core,
     k_conjugate,
     partitions_of,
@@ -205,6 +206,32 @@ def strip_transitions_by_blocks(beta_shape: tuple[int, ...], r: int, k: int):
         out.append((gamma.shape, tuple(v for v in rows if v > 0)))
     out.sort()
     return tuple(out)
+
+
+def column_by_weight(mu, step, *args) -> dict[tuple[int, ...], int]:
+    """The states after one block per nonzero part of mu, swept afresh.
+
+    The per-weight loop with no memo: step(shape, r, *args) gives the
+    (shape', multiplicity) pairs one block of r letters reaches.
+    """
+    states = {(): 1}
+    for r in [int(a) for a in mu if int(a)]:
+        nxt: dict[tuple[int, ...], int] = {}
+        for shape, cnt in states.items():
+            for gshape, mult in step(shape, r, *args):
+                nxt[gshape] = nxt.get(gshape, 0) + cnt * mult
+        states = nxt
+    return states
+
+
+@cache
+def _core_steps(shape: tuple[int, ...], r: int, k: int):
+    return tuple(Counter(g for g, _ in strip_transitions_by_blocks(shape, r, k)).items())
+
+
+def affine_column_by_weight(mu, k: int) -> dict[tuple[int, ...], int]:
+    """Affine Kostka column of mu: cores swept by applied blocks, bounded at the end."""
+    return {core_to_bounded(s, k): c for s, c in column_by_weight(mu, _core_steps, k).items()}
 
 
 def _shapes_over(beta: tuple[int, ...], width: int):

@@ -392,6 +392,17 @@ def test_kostka_matrix_stdout_is_pinned(capsys, empty_kostka_cache):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == KOSTKA_K3_D6_STDOUT_SHA256
 
 
+# SHA-256 of `kgroth kostka --k 3 --deg-max 6` (text) stdout, recorded when
+# both output formats were built on every call
+KOSTKA_K3_D6_TEXT_STDOUT_SHA256 = "877efeb354bf86809f4c89c246a265848fe015de7170fc73971a6e6f4c812ab2"
+
+
+def test_kostka_matrix_text_stdout_is_pinned(capsys, empty_kostka_cache):
+    code, out, _ = run_cli(capsys, "kostka", "--k", "3", "--deg-max", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == KOSTKA_K3_D6_TEXT_STDOUT_SHA256
+
+
 def test_internal_value_error_exits_1(monkeypatch, capsys):
     from kgroth import families
 
@@ -550,3 +561,21 @@ def test_closed_stdout_exits_1_silently():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+@pytest.mark.parametrize("partition, basis, term", [
+    ("60", "h", "h[60]"),
+    (",".join(["1"] * 60), "e", "e[60]"),
+], ids=["row-in-h", "column-in-e"])
+def test_degree_60_schur_expansion_reads_one_column(partition, basis, term):
+    # p(60) = 966,467: building every Schur column of degree 60 would not
+    # finish, while s_(60) = h_(60) and s_(1^60) = e_(60) need one column each
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgroth.cli", "expand", "--family", "s", "--partition", partition,
+         "--basis", basis],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()[1:]] == [["1", term]]

@@ -4,7 +4,8 @@ import pytest
 
 import kgroth.kostka as kostka
 from kgroth.partitions import k_bounded_up_to
-from kgroth.tableaux import kostka_column
+
+from oracles import affine_column_by_weight
 
 # SHA-256 of affine_kostka_k3_d8_v2.json as first written by the column-major
 # format; pins the file format
@@ -17,7 +18,7 @@ def test_prefix_tree_matches_per_weight_sweeps(k):
     weights = k_bounded_up_to(9, k)
     assert sorted(columns) == sorted(weights)
     for mu in weights:
-        assert columns[mu] == kostka_column(mu, k), mu
+        assert columns[mu] == affine_column_by_weight(mu, k), mu
         assert columns[mu][mu] == 1
 
 

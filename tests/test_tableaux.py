@@ -2,13 +2,17 @@ from itertools import product
 
 import pytest
 
+import kgroth.tableaux as tableaux
 from kgroth.partitions import Core, bounded_to_core, degree, k_bounded_up_to
-from kgroth.symfunc import distinct_permutations
+from kgroth.symfunc import _h_in_s, _s_in_m, distinct_permutations
 from kgroth.tableaux import (
     AffineSVStrip,
     SetValuedFilling,
+    _classical_sv_transitions,
+    _horizontal_strips,
     _strip_transitions,
     alphabet_blocks,
+    classical_kostka_column,
     compress_filling,
     count_classical_kostka,
     count_kostka,
@@ -24,10 +28,11 @@ from kgroth.tableaux import (
     is_k_tableau,
     is_standard_affine_sv,
     k_tableau_weight,
+    kostka_column,
     lowest_reading_word,
     peel_sv_strip,
-    schur_kostka,
     shape_of_cells,
+    sweep,
 )
 from kgroth.words import ResidueWord, standard_tableau_of_word
 
@@ -42,7 +47,9 @@ from known_values import (
     filling,
 )
 from oracles import (
+    affine_column_by_weight,
     classical_sv_count,
+    column_by_weight,
     semistandard_fillings,
     strip_transitions_by_blocks,
     sv_strips_brute,
@@ -368,13 +375,82 @@ def test_schur_kostka_against_brute_force():
     from kgroth.partitions import partitions_of
 
     for n in range(7):
-        matrix = schur_kostka(n)
-        assert list(matrix) == partitions_of(n)
         for mu in partitions_of(n):
+            column = _h_in_s(mu)
             for lam in partitions_of(n):
                 want = len(semistandard_fillings(lam, mu))
-                assert matrix[mu].get(lam, 0) == want, (lam, mu)
-            assert 0 not in matrix[mu].values()
+                assert column.get(lam, 0) == want, (lam, mu)
+                assert _s_in_m(lam).get(mu, 0) == want, (lam, mu)
+            assert 0 not in column.values()
+        for lam in partitions_of(n):
+            row = _s_in_m(lam)
+            assert 0 not in row.values()
+            assert list(row) == [mu for mu in partitions_of(n) if mu in row]
+
+
+def _compositions(n: int, max_part: int) -> list[tuple[int, ...]]:
+    """Every composition of n with parts in 1..max_part."""
+    if n == 0:
+        return [()]
+    return [(a,) + rest for a in range(1, min(n, max_part) + 1)
+            for rest in _compositions(n - a, max_part)]
+
+
+def _with_zeros(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """alpha with a zero part before and after every part."""
+    return (0,) + tuple(x for a in alpha for x in (a, 0))
+
+
+def _is_partition(parts: tuple[int, ...]) -> bool:
+    return list(parts) == sorted(parts, reverse=True)
+
+
+@pytest.fixture
+def fresh_sweeps():
+    """No swept prefix kept before the test, so its reads walk the memo from empty."""
+    tableaux._PREFIXES.clear()
+    yield
+    tableaux._PREFIXES.clear()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_affine_sweep_matches_the_per_weight_loop(k, fresh_sweeps):
+    for n in range(9):
+        for alpha in _compositions(n, k):
+            want = affine_column_by_weight(alpha, k)
+            assert kostka_column(alpha, k) == want, alpha
+            assert kostka_column(_with_zeros(alpha), k) == want, alpha
+    kept = tableaux._PREFIXES[(tableaux._affine_steps, (k,))]
+    assert all(_is_partition(prefix) for prefix in kept)
+    assert set(kept) == set(k_bounded_up_to(8, k))
+
+
+@pytest.mark.parametrize("step, read", [
+    (_classical_sv_transitions, classical_kostka_column),
+    (_horizontal_strips, _h_in_s),
+], ids=["classical", "schur"])
+def test_classical_sweeps_match_the_per_weight_loop(step, read, fresh_sweeps):
+    from kgroth.partitions import partitions_of
+
+    for n in range(9):
+        for alpha in _compositions(n, n):
+            want = column_by_weight(alpha, step)
+            assert read(alpha) == want, alpha
+            assert read(_with_zeros(alpha)) == want, alpha
+    kept = tableaux._PREFIXES[(step, ())]
+    assert all(_is_partition(prefix) for prefix in kept)
+    assert set(kept) == {mu for n in range(9) for mu in partitions_of(n)}
+
+
+def test_sweep_walks_long_weights_without_recursion(fresh_sweeps):
+    def stay(shape, r):
+        return ((shape, 1),)
+
+    # longer than the default recursion limit, both as kept prefixes and as
+    # the unkept tail after an ascent
+    assert sweep((2,) * 1500, stay) == {(): 1}
+    assert sweep((1,) + (2,) * 3000, stay) == {(): 1}
+    assert len(tableaux._PREFIXES[(stay, ())]) == 1502
 
 
 def test_direct_definition_agrees_with_chains():
