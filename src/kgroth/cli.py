@@ -299,18 +299,25 @@ def cmd_kostka(args) -> int:
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")
         return 0
     deg_max = args.deg_max if args.deg_max is not None else 4
-    rows = kostka.build_affine_kostka(k, deg_max, _cache_dir(args)).entries
-    # a matrix can have over 10^5 entries, so only the requested output is built
+    matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
+    rows = matrix.entries
+    # a matrix can have over 10^5 entries, so each row is written as it is
+    # formatted; every shape is also a weight, so each partition is formatted once
+    write = sys.stdout.write
     if args.format == "json":
-        entries = [{"shape": list(lam), "weight": list(mu), "count": v} for lam, mu, v in rows]
-        print(json.dumps({"k": k, "deg_max": deg_max, "entries": entries}, sort_keys=True))
+        # the bytes of json.dumps of the whole document with sort_keys=True
+        parts = {mu: f"[{', '.join(map(str, mu))}]" for mu in matrix.columns}
+        write(f'{{"deg_max": {deg_max}, "entries": [')
+        sep = ""
+        for lam, mu, v in rows:
+            write(f'{sep}{{"count": {v}, "shape": {parts[lam]}, "weight": {parts[mu]}}}')
+            sep = ", "
+        write(f'], "k": {k}}}\n')
     else:
-        lines = [f"kostka matrix k={k} deg-max={deg_max}: {len(rows)} nonzero entries"]
-        lines.extend(
-            f"  K[{','.join(map(str, lam))} | {','.join(map(str, mu))}] = {v}"
-            for lam, mu, v in rows
-        )
-        print("\n".join(lines))
+        parts = {mu: ",".join(map(str, mu)) for mu in matrix.columns}
+        write(f"kostka matrix k={k} deg-max={deg_max}: {len(rows)} nonzero entries\n")
+        for lam, mu, v in rows:
+            write(f"  K[{parts[lam]} | {parts[mu]}] = {v}\n")
     return 0
 
 
@@ -318,12 +325,43 @@ def cmd_kostka(args) -> int:
 # argument plumbing
 
 
+def _terminal_columns() -> int:
+    """The width shutil.get_terminal_size reports: COLUMNS, else the terminal's, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, with the width read without importing shutil.
+
+    argparse imports shutil for the width as soon as the first argument is
+    added, and with what shutil imports that costs every call about 4 ms.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgroth",
         description="Exact combinatorics of cores, affine set-valued tableaux and their polynomial families",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def verb(name, help):
+        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
 
     def common(p):
         p.add_argument("--k", type=int, default=None, help="level parameter k")
@@ -331,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--cache-dir", default=None, dest="cache_dir")
 
-    p = sub.add_parser("expand", help="expand a family member in a classical basis")
+    p = verb("expand", "expand a family member in a classical basis")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--basis", choices=("m", "h", "e", "s"), default=None)
     common(p)
     p.set_defaults(fn=cmd_expand)
 
-    p = sub.add_parser("tableaux", help="count or list tableaux of a shape")
+    p = verb("tableaux", "count or list tableaux of a shape")
     p.add_argument("--shape", required=True)
     p.add_argument("--weight", default=None)
     p.add_argument("--standard-degree", type=int, default=None, dest="standard_degree")
@@ -348,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_tableaux)
 
-    p = sub.add_parser("pieri", help="strip expansion of a product")
+    p = verb("pieri", "strip expansion of a product")
     p.add_argument("direction", choices=("row", "col"))
     p.add_argument("--partition", required=True)
     p.add_argument("--r", type=int, required=True)
@@ -356,17 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_pieri)
 
-    p = sub.add_parser("verify", help="run an identity suite")
+    p = verb("verify", "run an identity suite")
     p.add_argument("check", choices=sorted(families.VERIFY_CHECKS))
     common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("scan", help="scan an open positivity question, reporting findings")
+    p = verb("scan", "scan an open positivity question, reporting findings")
     p.add_argument("conjecture", choices=sorted(families.SCANS))
     common(p)
     p.set_defaults(fn=cmd_scan)
 
-    p = sub.add_parser("kostka", help="tableau-count matrices and entries")
+    p = verb("kostka", "tableau-count matrices and entries")
     p.add_argument("--shape", default=None)
     p.add_argument("--weight", default=None)
     common(p)

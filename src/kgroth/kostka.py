@@ -7,8 +7,9 @@ sweep step per weight.  The process keeps one matrix per k, the one of the
 largest deg_max built or loaded; it answers every smaller deg_max too, since
 a shape is never larger than its weight.
 
-Bulk matrices are persisted as versioned JSON, written atomically so
-concurrent readers never see a torn file, and spot-checked when read back.
+Bulk matrices are persisted as versioned JSON, written to a random-named
+sibling file that then replaces the cache file, so concurrent readers never
+see a torn file, and spot-checked when read back.
 The version 2 file is column-major: the sorted list of k-bounded partitions
 of degree <= deg_max, once, indexes both shapes and weights, and each
 weight, in that order, has one flat [shape index, count, ...] list.  Files
@@ -175,10 +176,6 @@ def _plausible(
 
 
 def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
-    # only a cache write needs tempfile, and importing it costs every process
-    # a few milliseconds
-    import tempfile
-
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(matrix.k, matrix.deg_max, cache_dir)
     # the weights are all the k-bounded partitions of degree <= deg_max, so
@@ -196,8 +193,11 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
             for mu in parts
         ],
     }
-    # write-then-rename keeps readers away from partial files
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    # write-then-rename keeps readers away from partial files.  The sibling
+    # is opened the way tempfile.mkstemp opens one, exclusively and private;
+    # importing tempfile would cost a writer process about 8 ms
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             # json.dumps runs the C encoder, json.dump never does; the bytes agree

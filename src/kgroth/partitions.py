@@ -191,14 +191,21 @@ def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...
     Adds every addable i-corner when there is one; otherwise the shape stays
     and its removable i-corners are marked.  No touched cell means there is
     neither kind of i-corner: the letter is dead on this core.  Cells come
-    bottom row first.  This is the one letter rule; Core.act wraps it and the
-    strip transitions step through it directly.
+    bottom row first.  This is the one letter rule; Core.act wraps it, and
+    bounded_to_core and the strip transitions step through it directly.
     """
-    i %= k + 1
-    added = tuple(c for c in addable_corners(shape) if residue(c, k) == i)
+    p = k + 1
+    i %= p
+    n = len(shape)
+    # the corners of addable_corners and removable_corners, filtered by residue
+    added = [(r, c) for r, c in enumerate(shape)
+             if (c - r) % p == i and (r == 0 or shape[r - 1] > c)]
+    if -n % p == i:
+        added.append((n, 0))
     if added:
-        return add_cells(shape, added), added
-    return shape, tuple(c for c in removable_corners(shape) if residue(c, k) == i)
+        return add_cells(shape, added), tuple(added)
+    return shape, tuple((r, c - 1) for r, c in enumerate(shape)
+                        if (c - 1 - r) % p == i and (r == n - 1 or shape[r + 1] < c))
 
 
 # Most cores are built by the library itself, from tuples, and the same few
@@ -245,10 +252,6 @@ class Core(Record):
             return self, touched
         return Core(shape, self.k), touched
 
-    def add_residue(self, i: int) -> "Core":
-        """Add every addable i-corner; identity when there is none."""
-        return self.act(i)[0]
-
     def to_bounded(self) -> tuple[int, ...]:
         """The bijection onto k-bounded partitions: delete all hooks above k."""
         return core_to_bounded(self.shape, self.k)
@@ -267,13 +270,23 @@ class Core(Record):
 
 @cache
 def core_to_bounded(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Row lengths surviving after deleting all cells of hook length > k."""
-    if not is_core(shape, k):
-        raise ValueError(f"{shape} is not a {k + 1}-core")
+    """Row lengths surviving after deleting all cells of hook length > k.
+
+    Hooks strictly grow from right to left along a row, so each row is read
+    from its right end up to the first hook above k; that hook being k+1
+    is the one way the shape can fail to be a (k+1)-core.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     conj = conjugate(shape)
     rows = []
     for i, row in enumerate(shape):
-        rows.append(sum(1 for j in range(row) if (row - j) + (conj[j] - i) - 1 <= k))
+        j = row - 1
+        while j >= 0 and (hook := row - j + conj[j] - i - 1) <= k:
+            j -= 1
+        if j >= 0 and hook == k + 1:
+            raise ValueError(f"{shape} is not a {k + 1}-core")
+        rows.append(row - 1 - j)
     lam = tuple(v for v in rows if v > 0)
     # the survivors of a core always read as a partition
     assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)), shape
@@ -286,14 +299,15 @@ def bounded_to_core(lam: tuple[int, ...], k: int) -> Core:
 
     The residues of lam are read right to left, top row down; applying the
     corner-adding operators in that order to the empty core rebuilds the
-    (k+1)-core whose k-bounded image is lam.
+    (k+1)-core whose k-bounded image is lam.  The steps run on plain shapes,
+    and the result is checked once.
     """
     if not is_k_bounded(lam, k):
         raise ValueError(f"{lam} is not {k}-bounded")
-    core = Core((), k)
+    shape: tuple[int, ...] = ()
     for i in reversed(residue_word(lam, k)):
-        core = core.add_residue(i)
-    return core
+        shape = _corner_step(shape, k, i)[0]
+    return Core(shape, k)
 
 
 def residue_word(lam: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -13,15 +13,20 @@ from itertools import combinations, permutations
 
 from kgroth.partitions import (
     Core,
+    add_cells,
+    addable_corners,
     conjugate,
     core_to_bounded,
     is_core,
+    is_k_bounded,
     k_conjugate,
     partitions_of,
     removable_corners,
+    residue,
+    residue_word,
 )
 from kgroth.tableaux import AffineSVStrip, SetValuedFilling, is_affine_sv_strip
-from kgroth.words import DeadWordError, apply_block
+from kgroth.words import DeadWordError, apply_block, cyclically_decreasing_word
 
 
 class AffPerm:
@@ -151,6 +156,60 @@ def block_factorization_count(lam, alpha, k: int) -> int:
 
     rec(0, AffPerm.identity(k + 1), 0)
     return count
+
+
+# ---------------------------------------------------------------------------
+# cores through the corner lists and the full hook table
+
+
+def corner_step_by_corners(shape: tuple[int, ...], k: int, i: int):
+    """The corner step of letter i, read off addable_corners and removable_corners."""
+    i %= k + 1
+    added = tuple(c for c in addable_corners(shape) if residue(c, k) == i)
+    if added:
+        return add_cells(shape, added), added
+    return shape, tuple(c for c in removable_corners(shape) if residue(c, k) == i)
+
+
+def core_to_bounded_by_hooks(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The k-bounded image: is_core first, then every cell's hook compared with k."""
+    if not is_core(shape, k):
+        raise ValueError(f"{shape} is not a {k + 1}-core")
+    conj = conjugate(shape)
+    rows = []
+    for i, row in enumerate(shape):
+        rows.append(sum(1 for j in range(row) if (row - j) + (conj[j] - i) - 1 <= k))
+    return tuple(v for v in rows if v > 0)
+
+
+def bounded_to_core_by_corners(lam: tuple[int, ...], k: int) -> Core:
+    """The core of lam, one checked Core per letter of lam's residue word."""
+    if not is_k_bounded(lam, k):
+        raise ValueError(f"{lam} is not {k}-bounded")
+    core = Core((), k)
+    for i in reversed(residue_word(lam, k)):
+        core = Core(corner_step_by_corners(core.shape, k, i)[0], k)
+    return core
+
+
+def strip_transitions_by_corners(beta_shape: tuple[int, ...], r: int, k: int):
+    """The (gamma, rho) pairs of one marked r-block on beta, stepped by corner_step_by_corners."""
+    if r == 0:
+        return ((beta_shape, beta_shape),)
+    out = []
+    for subset in combinations(range(k + 1), r):
+        gamma, touched = beta_shape, []
+        for i in reversed(cyclically_decreasing_word(subset, k).letters):
+            gamma, cells = corner_step_by_corners(gamma, k, i)
+            if not cells:
+                break
+            touched.extend(cells)
+        else:
+            rows = list(gamma)
+            for row, _ in touched:
+                rows[row] -= 1
+            out.append((gamma, tuple(v for v in rows if v > 0)))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -456,16 +456,60 @@ def test_expand_gk_in_schur_basis_is_pinned(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GK_44321_S_STDOUT_SHA256
 
 
-def test_import_leaves_out_unused_stdlib():
-    # every CLI call is a fresh process, so what importing kgroth.cli pulls in
-    # is paid on each call; these modules cost a third of it and go unused
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tempfile", "shutil", "random")
+def _src_env(**extra) -> dict:
+    """The environment of a child Python that imports kgroth from this checkout's src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = f"import sys, kgroth.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    env = {key: value for key, value in os.environ.items() if key != "COLUMNS"}
+    return dict(env, PYTHONPATH=src, **extra)
+
+
+def test_import_leaves_out_unused_stdlib(tmp_path):
+    # every CLI call is a fresh process, so what importing kgroth.cli pulls in
+    # is paid on each call; these modules cost a third of it and go unused.
+    # Requests are checked too: argparse imports shutil for the terminal width,
+    # and shutil brings bz2 and lzma, unless the parser's formatter reads it
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tempfile", "shutil", "random", "bz2",
+             "lzma")
+    requests = [
+        ["pieri", "row", "--partition", "2,1", "--k", "2", "--r", "1", "--strips"],
+        ["expand", "--family", "Gk", "--partition", "2,1", "--k", "2", "--deg-max", "4",
+         "--cache-dir", str(tmp_path)],
+    ]
+    code = (
+        "import sys, kgroth.cli\n"
+        f"heavy = set({heavy!r})\n"
+        "found = [sorted(heavy & set(sys.modules))]\n"
+        f"for argv in {requests!r}:\n"
+        "    assert kgroth.cli.main(argv) == 0\n"
+        "    found.append(sorted(heavy & set(sys.modules)))\n"
+        "print(found, file=sys.stderr)\n"
+    )
+    err = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True).stderr
+    assert err.strip() == "[[], [], []]"
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+
+# SHA-256 of stdout (help) or stderr (usage error) with COLUMNS unset or 50 and
+# stdout not a terminal, recorded when argparse read the width through shutil
+HELP_SHA256 = {
+    ("--help", None): "ab63ca99e3d51bc1894e4c75c8ff5f37d922a10eacc4b6fba93458ad610f8799",
+    ("--help", "50"): "7da0cd3e1ce5e1a8b984b9b9fff40f35ad514684a0fbc1c5753753f0041447af",
+    ("expand --help", None): "ab4ef5ad236ce92e4ef2457e8482d5a36c802a9b47137617940de794f8a51da8",
+    ("expand --help", "50"): "fb8df485d7fb2d749ddfe2d84982ea5cf50941cb333036a5d5d9c17a61468e58",
+    ("expand --family x", None): "83e0416008ee4ac42b887c8d81bc54db669ac208685ccf765cbcc983e70cf722",
+}
+
+
+@pytest.mark.parametrize("argv, columns", sorted(HELP_SHA256, key=str))
+def test_help_and_usage_bytes_are_pinned(argv, columns):
+    env = _src_env() if columns is None else _src_env(COLUMNS=columns)
+    proc = subprocess.run([sys.executable, "-S", "-m", "kgroth.cli", *argv.split()], env=env,
+                          capture_output=True)
+    usage_error = not argv.endswith("--help")
+    assert proc.returncode == (2 if usage_error else 0)
+    out = proc.stderr if usage_error else proc.stdout
+    assert hashlib.sha256(out).hexdigest() == HELP_SHA256[argv, columns]
 
 
 # SHA-256 of `kgroth expand --family G --partition 3,2 --deg-max 12 --basis h

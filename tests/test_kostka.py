@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -29,6 +30,25 @@ def test_cache_file_bytes_are_pinned(tmp_path, empty_kostka_cache):
         assert hashlib.sha256(fh.read()).hexdigest() == K3_D8_FILE_SHA256
     loaded = kostka._load(3, 8, str(tmp_path))
     assert loaded is not None and loaded.columns == matrix.columns
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch,
+                                                       empty_kostka_cache):
+    matrix = kostka.build_affine_kostka(2, 4)
+    seen = []
+
+    def broken(*args, **kwargs):
+        seen.extend((p.name, p.stat().st_mode & 0o777) for p in tmp_path.iterdir())
+        raise RuntimeError("write failed")
+
+    monkeypatch.setattr(kostka.json, "dumps", broken)
+    with pytest.raises(RuntimeError, match="write failed"):
+        kostka._save(matrix, str(tmp_path))
+    # the write failed with the private sibling open, and the sibling is gone
+    [(name, mode)] = seen
+    assert name.startswith(os.path.basename(kostka._cache_path(2, 4, str(tmp_path))) + ".")
+    assert name.endswith(".tmp") and mode == 0o600
+    assert list(tmp_path.glob("*.tmp")) == [] and list(tmp_path.iterdir()) == []
 
 
 def test_a_smaller_matrix_is_a_slice_of_the_held_one(tmp_path, empty_kostka_cache):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from kgroth.partitions import (
     Core,
+    _corner_step,
     add_cells,
     addable_corners,
     bounded_to_core,
@@ -17,8 +18,16 @@ from kgroth.partitions import (
     k_bounded_up_to,
     k_conjugate,
     main_hook,
+    partitions_of,
     removable_corners,
     residue,
+)
+from kgroth.tableaux import _strip_transitions
+from oracles import (
+    bounded_to_core_by_corners,
+    core_to_bounded_by_hooks,
+    corner_step_by_corners,
+    strip_transitions_by_corners,
 )
 
 
@@ -143,11 +152,16 @@ def test_act_adds_the_addable_corners_or_marks_the_removable_ones(k):
                 assert after is core
 
 
+def add_residue(core: Core, i: int) -> Core:
+    """The core after letter i: every addable i-corner added, or core itself."""
+    return core.act(i)[0]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_add_residue_grows_by_one(k):
     for core in all_cores(6, k):
         for i in range(k + 1):
-            grown = core.add_residue(i)
+            grown = add_residue(core, i)
             if any(residue(c, k) == i for c in addable_corners(core.shape)):
                 assert grown.size() == core.size() + 1
             else:
@@ -155,11 +169,11 @@ def test_add_residue_grows_by_one(k):
 
 
 def test_add_residue_examples():
-    assert Core((), 2).add_residue(0).shape == (1,)
-    assert Core((1,), 2).add_residue(1).shape == (2,)
+    assert add_residue(Core((), 2), 0).shape == (1,)
+    assert add_residue(Core((1,), 2), 1).shape == (2,)
     core = Core((), 2)
     for i in (0, 1, 2, 1):
-        core = core.add_residue(i)
+        core = add_residue(core, i)
     assert core.shape == (3, 1, 1)
 
 
@@ -168,17 +182,43 @@ def test_corner_operator_relations(k):
     p = k + 1
     for core in all_cores(5, k):
         for i in range(p):
-            assert core.add_residue(i).add_residue(i) == core.add_residue(i)
+            once = add_residue(core, i)
+            assert add_residue(once, i) == once
             j = (i + 1) % p
-            lhs = core.add_residue(i).add_residue(j).add_residue(i)
-            rhs = core.add_residue(j).add_residue(i).add_residue(j)
+            lhs = add_residue(add_residue(once, j), i)
+            rhs = add_residue(add_residue(add_residue(core, j), i), j)
             assert lhs == rhs
             for j in range(p):
                 if (i - j) % p not in (0, 1, p - 1):
-                    assert (
-                        core.add_residue(i).add_residue(j)
-                        == core.add_residue(j).add_residue(i)
-                    )
+                    assert add_residue(once, j) == add_residue(add_residue(core, j), i)
+
+
+@pytest.mark.parametrize("k, deg_max", [(1, 9), (2, 9), (3, 9), (4, 9), (5, 8)])
+def test_conversions_and_strip_steps_match_the_corner_list_oracles(k, deg_max):
+    for lam in k_bounded_up_to(deg_max, k):
+        core = bounded_to_core(lam, k)
+        assert core == bounded_to_core_by_corners(lam, k), lam
+        assert core_to_bounded(core.shape, k) == core_to_bounded_by_hooks(core.shape, k) == lam
+        for i in range(k + 1):
+            assert _corner_step(core.shape, k, i) == corner_step_by_corners(core.shape, k, i)
+        for r in range(k + 1):
+            assert (_strip_transitions(core.shape, r, k)
+                    == strip_transitions_by_corners(core.shape, r, k)), (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_core_to_bounded_rejects_non_cores_like_the_oracle(k):
+    def outcome(convert, shape):
+        try:
+            return convert(shape, k)
+        except ValueError as exc:
+            return str(exc)
+
+    for shape in (lam for n in range(8) for lam in partitions_of(n)):
+        assert outcome(core_to_bounded, shape) == outcome(core_to_bounded_by_hooks, shape), shape
+    if k == 1:
+        with pytest.raises(ValueError, match=r"^\(2,\) is not a 2-core$"):
+            core_to_bounded((2,), k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
