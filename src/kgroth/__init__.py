@@ -4,14 +4,12 @@ fast path."""
 
 from .partitions import (
     Core,
-    addable_corners,
     bounded_to_core,
     check_partition,
     conjugate,
     core_to_bounded,
     dominates,
     is_core,
-    is_horizontal_strip,
     k_conjugate,
     removable_corners,
 )
@@ -22,25 +20,18 @@ from .words import (
     alpha_factorizations,
     cyclically_decreasing_word,
     evaluate,
-    is_cyclically_decreasing,
     standard_tableau_of_word,
     word_of_partition,
 )
 from .tableaux import (
-    AffineSVStrip,
     SetValuedFilling,
     StripChain,
     count_classical_kostka,
     count_kostka,
-    count_ktab_kostka,
     enumerate_sv_strips,
     enumerate_sv_strips_vertical,
     enumerate_tableaux,
-    is_affine_strip,
-    is_affine_sv_strip,
-    is_affine_sv_tableau,
     is_classical_set_valued,
-    is_k_tableau,
     lowest_reading_word,
 )
 from .symfunc import SymFunc, binomial, convert, e, h, hall_inner, m, s
@@ -50,12 +41,10 @@ from .families import (
     column_pieri,
     dual_grothendieck,
     dual_k_schur,
-    expand_in_kkschur,
     grothendieck,
     k_schur,
     kkschur,
     omega_big,
-    omega_classical,
     row_pieri,
     verify_k_newton,
     verify_newton,

@@ -13,7 +13,6 @@ from functools import cache
 from .kostka import weight_column
 from .partitions import (
     check_partition,
-    conjugate,
     degree,
     is_k_bounded,
     k_bounded_partitions,
@@ -200,18 +199,6 @@ def column_pieri(lam, r: int, k: int) -> PieriResult:
 # involutions
 
 
-def omega_classical(f: SymFunc) -> SymFunc:
-    """The h <-> e swap; sends a Schur element to its conjugate."""
-    if f.k is not None:
-        raise ValueError("omega acts on the full ring, not the quotient")
-    if f.basis == "s":
-        return SymFunc("s", {conjugate(lam): c for lam, c in f.coeffs.items()}, f.deg_max)
-    if f.basis == "m":
-        f = convert(f, "h")
-    swapped = "e" if f.basis == "h" else "h"
-    return SymFunc(swapped, dict(f.coeffs), f.deg_max)
-
-
 @cache
 def _omega_big_h(r: int) -> SymFunc:
     """Image of a single complete generator, re-expressed in the h-basis."""
@@ -278,10 +265,6 @@ def expand_in_dual_family(
         return convert(family(nu), "m").truncate(deg_max).coeffs
 
     return solve_unitriangular(convert(f, "m").truncate(deg_max).coeffs, column, m_order)
-
-
-def expand_in_kkschur(f: SymFunc, k: int) -> dict[tuple[int, ...], int]:
-    return expand_in_family(f, lambda mu: kkschur(mu, k), lambda d: k_bounded_partitions(d, k))
 
 
 # ---------------------------------------------------------------------------

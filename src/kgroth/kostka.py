@@ -92,7 +92,13 @@ class KostkaMatrix(Record):
     @property
     def entries(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """The nonzero entries as (shape, weight, count) rows, sorted."""
-        return sorted((lam, mu, v) for mu, col in self.columns.items() for lam, v in col.items())
+        # the weights are walked in order, so each shape's rows come out
+        # sorted and only the shapes need sorting, not every row
+        by_shape: dict[tuple[int, ...], list] = {}
+        for mu in sorted(self.columns):
+            for lam, v in self.columns[mu].items():
+                by_shape.setdefault(lam, []).append((lam, mu, v))
+        return [row for lam in sorted(by_shape) for row in by_shape[lam]]
 
 
 # per k, the matrix of the largest deg_max built or loaded in this process

@@ -98,16 +98,6 @@ def main_hook(lam: tuple[int, ...]) -> int:
     return lam[0] + len(lam) - 1
 
 
-def addable_corners(lam: tuple[int, ...]) -> list[Cell]:
-    """Cells addable to lam keeping a partition shape, bottom row first."""
-    out = []
-    for i in range(len(lam)):
-        if i == 0 or lam[i - 1] > lam[i]:
-            out.append((i, lam[i]))
-    out.append((len(lam), 0))
-    return out
-
-
 def removable_corners(lam: tuple[int, ...]) -> list[Cell]:
     """Cells whose removal keeps a partition shape, bottom row first."""
     out = []
@@ -137,18 +127,6 @@ def skew_cells(gamma: tuple[int, ...], rho: tuple[int, ...]) -> list[Cell]:
         lo = rho[i] if i < len(rho) else 0
         out.extend((i, j) for j in range(lo, row))
     return out
-
-
-def is_horizontal_strip(gamma: tuple[int, ...], rho: tuple[int, ...]) -> bool:
-    """True iff every column of gamma/rho has at most one cell."""
-    if not contains(gamma, rho):
-        raise ValueError(f"{rho} is not contained in {gamma}")
-    # one cell per column at most <=> gamma_{i} <= rho_{i-1} for every upper row
-    for i in range(1, len(gamma)):
-        lo = rho[i - 1] if i - 1 < len(rho) else 0
-        if gamma[i] > lo:
-            return False
-    return True
 
 
 def residue(cell: Cell, k: int) -> int:
@@ -197,7 +175,7 @@ def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...
     p = k + 1
     i %= p
     n = len(shape)
-    # the corners of addable_corners and removable_corners, filtered by residue
+    # the addable corners of residue i, then (when there are none) the removable ones
     added = [(r, c) for r, c in enumerate(shape)
              if (c - r) % p == i and (r == 0 or shape[r - 1] > c)]
     if -n % p == i:
@@ -230,16 +208,6 @@ class Core(Record):
         _set(self, "shape", shape)
         _set(self, "k", k)
 
-    @property
-    def level(self) -> int:
-        return self.k + 1
-
-    def residue(self, cell: Cell) -> int:
-        return residue(cell, self.k)
-
-    def removable_of_residue(self, i: int) -> list[Cell]:
-        return [c for c in removable_corners(self.shape) if self.residue(c) == i % self.level]
-
     def act(self, i: int) -> tuple["Core", tuple[Cell, ...]]:
         """The corner step of letter i: the core after it and the cells it touches.
 
@@ -262,10 +230,6 @@ class Core(Record):
 
     def conjugate(self) -> "Core":
         return Core(conjugate(self.shape), self.k)
-
-    def size(self) -> int:
-        """Degree of the k-bounded image, i.e. the number of k-bounded hooks."""
-        return degree(self.to_bounded())
 
 
 @cache

@@ -1,12 +1,12 @@
-"""Set-valued fillings, affine strips, strip chains and tableau counting.
+"""Set-valued fillings, affine set-valued strip transitions, strip chains and counting.
 
-Two independent constructions of the same tableau family live here: chains
-of affine set-valued strips (the production path, also used for counting)
-and the literal definition checker used as an oracle.  The strip sets are
-produced by applying cyclically decreasing blocks of marked letters, one
-subset of residues per block: each block's letters, cached per block size,
-step the shape tuple through partitions._corner_step, the letter rule that
-Core.act wraps.
+Affine set-valued tableaux are built as chains of affine set-valued strips,
+which also serve every count.  The standard and weight conditions of the
+definition are checked literally on fillings, for the bijection suite to
+compare the chains against.  The strip sets are produced by applying
+cyclically decreasing blocks of marked letters, one subset of residues per
+block: each block's letters, cached per block size, step the shape tuple
+through partitions._corner_step, the letter rule that Core.act wraps.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .partitions import (
     Record,
     _corner_step,
     _set,
-    add_cells,
-    addable_corners,
     bounded_to_core,
     check_partition,
     conjugate,
@@ -30,7 +28,6 @@ from .partitions import (
     core_to_bounded,
     degree,
     is_core,
-    is_horizontal_strip,
     is_k_bounded,
     removable_corners,
     residue,
@@ -214,11 +211,6 @@ def alphabet_blocks(alpha) -> list[range]:
     return [b for b in blocks if len(b)]
 
 
-def is_affine_sv_tableau(t: SetValuedFilling, alpha, k: int) -> bool:
-    """Direct-definition oracle for affine set-valued tableaux of weight alpha."""
-    return fits_affine_sv_blocks(t, alpha, k) and is_standard_affine_sv(t, k)
-
-
 def fits_affine_sv_blocks(t: SetValuedFilling, alpha, k: int) -> bool:
     """The conditions that weight alpha adds to the standard ones.
 
@@ -245,96 +237,14 @@ def fits_affine_sv_blocks(t: SetValuedFilling, alpha, k: int) -> bool:
     return True
 
 
-def is_k_tableau(t: SetValuedFilling, k: int) -> bool:
-    """Singleton semistandard filling of a core whose residue counts fill its size."""
-    if any(len(s) != 1 for s in t.cells.values()):
-        return False
-    if not is_classical_set_valued(t):
-        return False
-    if not is_core(t.shape, k):
-        return False
-    n = t.max_letter()
-    if any(v == 0 for v in t.weight()):
-        return False
-    total = 0
-    for x in range(1, n + 1):
-        total += len({residue(c, k) for c in t.cells_with([x])})
-    return total == degree(core_to_bounded(t.shape, k))
-
-
-def k_tableau_weight(t: SetValuedFilling, k: int) -> tuple[int, ...]:
-    """Distinct-residue count of each letter; the weight of a k-tableau."""
-    return tuple(
-        len({residue(c, k) for c in t.cells_with([x])}) for x in range(1, t.max_letter() + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # strips
-
-
-def is_affine_strip(gamma: Core, beta: Core, r: int) -> bool:
-    """Horizontal skew of cores gaining r in size and occupying r residues."""
-    if gamma.k != beta.k:
-        raise ValueError("cores must share a level")
-    if not contains(gamma.shape, beta.shape):
-        return False
-    if not is_horizontal_strip(gamma.shape, beta.shape):
-        return False
-    if gamma.size() - beta.size() != r:
-        return False
-    residues = {gamma.residue(c) for c in skew_cells(gamma.shape, beta.shape)}
-    return len(residues) == r
 
 
 def gamma_blocked(cell: Cell, gamma: tuple[int, ...]) -> bool:
     """True when the cell lies directly below a cell of gamma."""
     i, j = cell
     return i + 1 < len(gamma) and gamma[i + 1] > j
-
-
-class AffineSVStrip(Record):
-    """The pair (gamma/beta, rho) datum of an affine set-valued r-strip."""
-
-    __slots__ = ("gamma", "beta", "rho", "r")
-
-    def __init__(self, gamma: Core, beta: Core, rho: tuple[int, ...], r: int):
-        rho = check_partition(rho)
-        if gamma.k != beta.k:
-            raise ValueError("cores must share a level")
-        _set(self, "gamma", gamma)
-        _set(self, "beta", beta)
-        _set(self, "rho", rho)
-        _set(self, "r", r)
-
-
-def is_affine_sv_strip(s: AffineSVStrip) -> bool:
-    """Verify the three defining conditions literally."""
-    gamma, beta, rho, r = s.gamma.shape, s.beta.shape, s.rho, s.r
-    k = s.gamma.k
-    if not (contains(beta, rho) and contains(gamma, beta)):
-        return False
-    if not (0 <= r <= k):
-        return False
-    # asv1: gamma/rho horizontal
-    if not is_horizontal_strip(gamma, rho):
-        return False
-    inner = skew_cells(beta, rho)
-    m = len({residue(c, k) for c in inner})
-    # asv2: gamma/beta is an affine (r - m)-strip
-    if not is_affine_strip(s.gamma, s.beta, r - m):
-        return False
-    # asv3: beta/rho consists of removable corners, closed per residue over
-    # the non-blocked ones
-    removables = set(removable_corners(beta))
-    if not set(inner) <= removables:
-        return False
-    inner_residues = {residue(c, k) for c in inner}
-    for c in removables:
-        i = residue(c, k)
-        if i in inner_residues and not gamma_blocked(c, gamma) and c not in inner:
-            return False
-    return True
 
 
 @cache
@@ -397,31 +307,6 @@ def enumerate_sv_strips_vertical(beta: Core, r: int) -> list[tuple[Core, tuple[i
     return out
 
 
-def peel_sv_strip(s: AffineSVStrip) -> AffineSVStrip:
-    """One peeling step: strip off the residue of the rightmost cell.
-
-    Removes the gamma-removable corners of that residue when it came from
-    gamma/beta, otherwise grows rho by its addable corners of that residue.
-    """
-    if s.r <= 0:
-        raise ValueError("nothing to peel from an empty strip")
-    k = s.gamma.k
-    strip_cells = skew_cells(s.gamma.shape, s.rho)
-    cell = max(strip_cells, key=lambda c: c[1])
-    i = residue(cell, k)
-    outer = {residue(c, k) for c in skew_cells(s.gamma.shape, s.beta.shape)}
-    if i in outer:
-        removed = s.gamma.removable_of_residue(i)
-        rows = list(s.gamma.shape)
-        for row, _ in removed:
-            rows[row] -= 1
-        gamma = Core(tuple(v for v in rows if v > 0), k)
-        return AffineSVStrip(gamma, s.beta, s.rho, s.r - 1)
-    grown = [c for c in addable_corners(s.rho) if residue(c, k) == i]
-    rho = add_cells(s.rho, grown)
-    return AffineSVStrip(s.gamma, s.beta, rho, s.r - 1)
-
-
 # ---------------------------------------------------------------------------
 # strip chains and enumeration
 
@@ -437,18 +322,6 @@ class StripChain(Record):
 
     def final_shape(self) -> tuple[int, ...]:
         return self.steps[-1][0] if self.steps else ()
-
-    def is_valid(self, alpha) -> bool:
-        sizes = [int(a) for a in alpha if int(a)]
-        if len(sizes) != len(self.steps):
-            return False
-        prev = Core((), self.k)
-        for (gshape, rho), r in zip(self.steps, sizes):
-            s = AffineSVStrip(Core(gshape, self.k), prev, rho, r)
-            if not is_affine_sv_strip(s):
-                return False
-            prev = Core(gshape, self.k)
-        return True
 
     def to_filling(self, alpha) -> SetValuedFilling:
         """Fill the chain with letters, rightmost residue getting the top letter."""
@@ -474,15 +347,6 @@ class StripChain(Record):
             prefix += a
         shape = self.final_shape()
         return SetValuedFilling(shape, {c: frozenset(v) for c, v in cellmap.items()})
-
-
-def compress_filling(t: SetValuedFilling, alpha) -> SetValuedFilling:
-    """Replace the letters of each alphabet block by the block index."""
-    blocks = alphabet_blocks(alpha)
-    to_block = {a: x for x, block in enumerate(blocks, start=1) for a in block}
-    return SetValuedFilling(
-        t.shape, {c: frozenset(to_block[v] for v in s) for c, s in t.cells.items()}
-    )
 
 
 def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
@@ -596,15 +460,6 @@ def count_kostka(lam, alpha, k: int) -> int:
             and contains(target, bounded_to_core(gamma, k).shape)
         }
     return states.get(lam, 0)
-
-
-def count_ktab_kostka(lam, alpha, k: int) -> int:
-    """Number of k-tableaux of shape c(lam) and weight alpha; 0 off-degree."""
-    lam = check_partition(lam)
-    sizes = [int(a) for a in alpha if int(a)]
-    if sum(sizes) != degree(lam):
-        return 0
-    return count_kostka(lam, sizes, k)
 
 
 # a named read of sweep(), which the traced benchmark run counts per call

@@ -49,11 +49,6 @@ class ResidueWord(Record):
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.letters)
 
-    @staticmethod
-    def parse(text: str, k: int) -> "ResidueWord":
-        parts = text.split()
-        return ResidueWord(tuple(int(v) for v in parts), k)
-
 
 def word_of_partition(lam, k: int) -> ResidueWord:
     """The canonical reduced word of the grassmannian element attached to lam.
@@ -112,20 +107,6 @@ def standard_tableau_of_word(word: ResidueWord):
     return SetValuedFilling(shape, {c: frozenset(s) for c, s in cellmap.items()})
 
 
-def is_cyclically_decreasing(word: ResidueWord) -> bool:
-    """No repeats, and j appears before j-1 (mod k+1) whenever both occur."""
-    letters = word.letters
-    if len(set(letters)) != len(letters):
-        return False
-    pos = {v: idx for idx, v in enumerate(letters)}
-    p = word.k + 1
-    for j in letters:
-        below = (j - 1) % p
-        if below in pos and pos[j] > pos[below]:
-            return False
-    return True
-
-
 def cyclically_decreasing_word(residues, k: int) -> ResidueWord:
     """Canonical cyclically decreasing word on a proper subset of [0, k].
 
@@ -174,12 +155,6 @@ class Factorization(Record):
     def __init__(self, blocks: tuple[ResidueWord, ...], k: int):
         _set(self, "blocks", blocks)
         _set(self, "k", k)
-
-    def word(self) -> ResidueWord:
-        letters: list[int] = []
-        for block in reversed(self.blocks):
-            letters.extend(block.letters)
-        return ResidueWord(tuple(letters), self.k)
 
 
 def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[Factorization]]:

@@ -1,8 +1,13 @@
 """Independent brute-force oracles the fast paths are checked against.
 
-Nothing here imports the production strip/chain machinery beyond plain
-shape helpers and the literal condition checkers; the point is to recompute
-answers by a different route.
+The point is to recompute answers by a different route.  The literal
+checkers of the strip, chain and k-tableau definitions live here, not in
+the package.  From the package this takes plain shape and core helpers,
+the SetValuedFilling record, tableaux.gamma_blocked (the one strip
+condition the classical count shares), cyclically_decreasing_word, and
+words.apply_block, the letter-by-letter block application that the cached
+strip transitions are compared with.  The few symfunc names used are
+imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -12,11 +17,16 @@ from functools import cache
 from itertools import combinations, permutations
 
 from kgroth.partitions import (
+    Cell,
     Core,
+    Record,
+    _set,
     add_cells,
-    addable_corners,
+    check_partition,
     conjugate,
+    contains,
     core_to_bounded,
+    degree,
     is_core,
     is_k_bounded,
     k_conjugate,
@@ -24,9 +34,10 @@ from kgroth.partitions import (
     removable_corners,
     residue,
     residue_word,
+    skew_cells,
 )
-from kgroth.tableaux import AffineSVStrip, SetValuedFilling, is_affine_sv_strip
-from kgroth.words import DeadWordError, apply_block, cyclically_decreasing_word
+from kgroth.tableaux import SetValuedFilling, gamma_blocked
+from kgroth.words import DeadWordError, ResidueWord, apply_block, cyclically_decreasing_word
 
 
 class AffPerm:
@@ -162,6 +173,16 @@ def block_factorization_count(lam, alpha, k: int) -> int:
 # cores through the corner lists and the full hook table
 
 
+def addable_corners(lam: tuple[int, ...]) -> list[Cell]:
+    """Cells addable to lam keeping a partition shape, bottom row first."""
+    out = []
+    for i in range(len(lam)):
+        if i == 0 or lam[i - 1] > lam[i]:
+            out.append((i, lam[i]))
+    out.append((len(lam), 0))
+    return out
+
+
 def corner_step_by_corners(shape: tuple[int, ...], k: int, i: int):
     """The corner step of letter i, read off addable_corners and removable_corners."""
     i %= k + 1
@@ -210,6 +231,145 @@ def strip_transitions_by_corners(beta_shape: tuple[int, ...], r: int, k: int):
                 rows[row] -= 1
             out.append((gamma, tuple(v for v in rows if v > 0)))
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# literal checkers of the strip, chain and k-tableau definitions
+
+
+def is_horizontal_strip(gamma: tuple[int, ...], rho: tuple[int, ...]) -> bool:
+    """True iff every column of gamma/rho has at most one cell."""
+    if not contains(gamma, rho):
+        raise ValueError(f"{rho} is not contained in {gamma}")
+    # one cell per column at most <=> gamma_{i} <= rho_{i-1} for every upper row
+    for i in range(1, len(gamma)):
+        lo = rho[i - 1] if i - 1 < len(rho) else 0
+        if gamma[i] > lo:
+            return False
+    return True
+
+
+def is_cyclically_decreasing(word: ResidueWord) -> bool:
+    """No repeats, and j appears before j-1 (mod k+1) whenever both occur."""
+    letters = word.letters
+    if len(set(letters)) != len(letters):
+        return False
+    pos = {v: idx for idx, v in enumerate(letters)}
+    p = word.k + 1
+    for j in letters:
+        below = (j - 1) % p
+        if below in pos and pos[j] > pos[below]:
+            return False
+    return True
+
+
+def is_affine_strip(gamma: Core, beta: Core, r: int) -> bool:
+    """Horizontal skew of cores gaining r in size and occupying r residues."""
+    if gamma.k != beta.k:
+        raise ValueError("cores must share a level")
+    k = gamma.k
+    if not contains(gamma.shape, beta.shape):
+        return False
+    if not is_horizontal_strip(gamma.shape, beta.shape):
+        return False
+    if degree(gamma.to_bounded()) - degree(beta.to_bounded()) != r:
+        return False
+    residues = {residue(c, k) for c in skew_cells(gamma.shape, beta.shape)}
+    return len(residues) == r
+
+
+class AffineSVStrip(Record):
+    """The pair (gamma/beta, rho) datum of an affine set-valued r-strip."""
+
+    __slots__ = ("gamma", "beta", "rho", "r")
+
+    def __init__(self, gamma: Core, beta: Core, rho: tuple[int, ...], r: int):
+        rho = check_partition(rho)
+        if gamma.k != beta.k:
+            raise ValueError("cores must share a level")
+        _set(self, "gamma", gamma)
+        _set(self, "beta", beta)
+        _set(self, "rho", rho)
+        _set(self, "r", r)
+
+
+def is_affine_sv_strip(s: AffineSVStrip) -> bool:
+    """Verify the three defining conditions literally."""
+    gamma, beta, rho, r = s.gamma.shape, s.beta.shape, s.rho, s.r
+    k = s.gamma.k
+    if not (contains(beta, rho) and contains(gamma, beta)):
+        return False
+    if not (0 <= r <= k):
+        return False
+    # asv1: gamma/rho horizontal
+    if not is_horizontal_strip(gamma, rho):
+        return False
+    inner = skew_cells(beta, rho)
+    m = len({residue(c, k) for c in inner})
+    # asv2: gamma/beta is an affine (r - m)-strip
+    if not is_affine_strip(s.gamma, s.beta, r - m):
+        return False
+    # asv3: beta/rho consists of removable corners, closed per residue over
+    # the non-blocked ones
+    removables = set(removable_corners(beta))
+    if not set(inner) <= removables:
+        return False
+    inner_residues = {residue(c, k) for c in inner}
+    for c in removables:
+        i = residue(c, k)
+        if i in inner_residues and not gamma_blocked(c, gamma) and c not in inner:
+            return False
+    return True
+
+
+def chain_is_valid(chain, alpha) -> bool:
+    """Every step of a StripChain is an affine set-valued strip of its size in alpha."""
+    sizes = [int(a) for a in alpha if int(a)]
+    if len(sizes) != len(chain.steps):
+        return False
+    prev = Core((), chain.k)
+    for (gshape, rho), r in zip(chain.steps, sizes):
+        s = AffineSVStrip(Core(gshape, chain.k), prev, rho, r)
+        if not is_affine_sv_strip(s):
+            return False
+        prev = Core(gshape, chain.k)
+    return True
+
+
+def is_k_tableau(t: SetValuedFilling, k: int) -> bool:
+    """Singleton semistandard filling of a core whose residue counts fill its size."""
+    if any(len(s) != 1 for s in t.cells.values()):
+        return False
+    entry = {c: min(s) for c, s in t.cells.items()}
+    # weak along rows, strict up columns
+    if any(entry.get((i, j + 1), v) < v or entry.get((i + 1, j), v + 1) <= v
+           for (i, j), v in entry.items()):
+        return False
+    if not is_core(t.shape, k):
+        return False
+    n = t.max_letter()
+    if any(v == 0 for v in t.weight()):
+        return False
+    total = 0
+    for x in range(1, n + 1):
+        total += len({residue(c, k) for c in t.cells_with([x])})
+    return total == degree(core_to_bounded(t.shape, k))
+
+
+def k_tableau_weight(t: SetValuedFilling, k: int) -> tuple[int, ...]:
+    """Distinct-residue count of each letter; the weight of a k-tableau."""
+    return tuple(
+        len({residue(c, k) for c in t.cells_with([x])}) for x in range(1, t.max_letter() + 1)
+    )
+
+
+def compress_filling(t: SetValuedFilling, alpha) -> SetValuedFilling:
+    """Replace the letters of each alphabet block by the block index."""
+    sizes = [int(a) for a in alpha if int(a)]
+    block_of = [x for x, a in enumerate(sizes, start=1) for _ in range(a)]
+    return SetValuedFilling(
+        t.shape, {c: frozenset(block_of[v - 1] for v in s) for c, s in t.cells.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

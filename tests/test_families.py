@@ -9,12 +9,10 @@ from kgroth.families import (
     dual_k_schur,
     expand_in_dual_family,
     expand_in_family,
-    expand_in_kkschur,
     grothendieck,
     k_schur,
     kkschur,
     omega_big,
-    omega_classical,
     row_pieri,
     scan_kss_cancellation,
     verify_bijection,
@@ -26,7 +24,6 @@ from kgroth.families import (
     verify_pieri,
 )
 from kgroth.partitions import (
-    conjugate,
     degree,
     k_bounded_partitions,
     k_bounded_up_to,
@@ -165,15 +162,6 @@ def test_pieri_matches_products_small():
             assert column_pieri(lam, r, 2).as_symfunc() == kkschur((1,) * r, 2) * g
 
 
-def test_omega_classical():
-    assert omega_classical(h((2, 1))) == e((2, 1))
-    assert omega_classical(e((2,))) == h((2,))
-    for d in range(6):
-        for lam in partitions_of(d):
-            image = convert(omega_classical(s(lam)), "h")
-            assert image == convert(s(conjugate(lam)), "h")
-
-
 def test_omega_big_basics():
     assert omega_big(h(())) == h(())
     assert omega_big(h((1,))) == h((1,))
@@ -204,9 +192,9 @@ def test_newton_identities():
 def test_expand_in_kkschur_roundtrip():
     k = 3
     f = h((2,)) * kkschur((3, 2, 1), k)
-    coeffs = expand_in_kkschur(f, k)
-    assert coeffs == ROW_PIERI_321_R2_K3
-    assert expand_in_kkschur(kkschur((2, 1), k), k) == {(2, 1): 1}
+    family, index_sets = (lambda mu: kkschur(mu, k)), (lambda d: k_bounded_partitions(d, k))
+    assert expand_in_family(f, family, index_sets) == ROW_PIERI_321_R2_K3
+    assert expand_in_family(kkschur((2, 1), k), family, index_sets) == {(2, 1): 1}
 
 
 def test_expand_in_family_rejects_outsiders():
@@ -326,11 +314,6 @@ def test_omega_reports_a_wrong_generator_image(monkeypatch):
 def test_oracle_suite_instance_counts(suite, k, deg_max, instances):
     res = suite(k, deg_max)
     assert res.ok and res.instances == instances
-
-
-def test_omega_classical_rejects_quotient():
-    with pytest.raises(ValueError):
-        omega_classical(dual_k_schur((1,), 2))
 
 
 def test_quotient_lift_is_rejected():

@@ -12,8 +12,10 @@ from kgroth.families import CheckResult, PieriResult
 from kgroth.kostka import KostkaMatrix
 from kgroth.partitions import Core
 from kgroth.symfunc import SymFunc
-from kgroth.tableaux import AffineSVStrip, SetValuedFilling, StripChain
+from kgroth.tableaux import SetValuedFilling, StripChain
 from kgroth.words import Factorization, ResidueWord
+
+from oracles import AffineSVStrip
 
 
 def _records():
