@@ -12,9 +12,9 @@ from functools import cache
 
 from .kostka import weight_column
 from .partitions import (
+    check_bounded,
     check_partition,
     degree,
-    is_k_bounded,
     k_bounded_partitions,
     k_bounded_up_to,
     k_conjugate,
@@ -25,7 +25,7 @@ from .partitions import (
     _set,
 )
 from .symfunc import (
-    SymFunc, _concat_product, _linear, binomial, convert, e, h, h_order, m_order, project_bounded,
+    SymFunc, _linear, binomial, convert, e, h, h_order, m_order, project_bounded,
     distinct_permutations, solve_unitriangular,
 )
 from .tableaux import (
@@ -34,6 +34,7 @@ from .tableaux import (
     enumerate_sv_strips,
     enumerate_sv_strips_vertical,
     kostka_column,
+    sweep,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,18 +92,14 @@ def grothendieck(lam, deg_max: int) -> SymFunc:
 @cache
 def kkschur(lam, k: int) -> SymFunc:
     """Exact h-expansion of the K-theoretic affine family member for lam."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     return _solve_h(lam, lambda mu: weight_column(mu, k))
 
 
 @cache
 def k_schur(lam, k: int) -> SymFunc:
     """Exact homogeneous h-expansion from the k-tableau system."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
 
     def top_column(mu):
         n = degree(mu)
@@ -113,18 +110,14 @@ def k_schur(lam, k: int) -> SymFunc:
 
 def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     n = degree(lam)
     return SymFunc("m", _series(lam, n, k_bounded_partitions, weight_column, k), None, k)
 
 
 def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     """Signed weight generating function over all weights up to deg_max."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     coeffs = _series(lam, deg_max, k_bounded_partitions, weight_column, k)
     return SymFunc("m", coeffs, deg_max, k)
 
@@ -167,9 +160,7 @@ class PieriResult(Record):
 
 
 def _pieri(direction: str, lam, r: int, k: int) -> PieriResult:
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     if not 0 <= r <= k:
         raise ValueError(f"r must lie in [0, {k}]: {r}")
     beta = Core.from_bounded(lam, k)
@@ -207,20 +198,24 @@ def _omega_big_h(r: int) -> SymFunc:
     return convert(SymFunc("e", {(j,): binomial(r - 1, j - 1) for j in range(1, r + 1)}), "h")
 
 
-def _omega_big_image(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """h-coefficients of the image of h_lam: the product of its generators' images."""
-    image = {(): 1}
-    for r in lam:
-        image = _concat_product(image, _omega_big_h(r).coeffs)
-    return image
+@cache
+def _omega_step(shape: tuple[int, ...], r: int):
+    """(key, coefficient) pairs: the h-term shape times the image of h_r."""
+    return tuple(
+        (tuple(sorted(shape + key, reverse=True)), c) for key, c in _omega_big_h(r).coeffs.items()
+    )
 
 
 def omega_big(f: SymFunc) -> SymFunc:
-    """The inhomogeneous conjugation h_r -> sum_j C(r-1, j-1) e_j, multiplicatively."""
+    """The inhomogeneous conjugation h_r -> sum_j C(r-1, j-1) e_j, multiplicatively.
+
+    The image of h_lam is the sweep of lam's parts through _omega_step, so
+    images that share a prefix of parts share its product.
+    """
     fh = convert(f, "h")
     if fh.deg_max is not None:
         raise ValueError("the inhomogeneous conjugation needs an exact expansion")
-    return SymFunc("h", _linear(fh.coeffs, _omega_big_image))
+    return SymFunc("h", _linear(fh.coeffs, lambda lam: sweep(lam, _omega_step)))
 
 
 # ---------------------------------------------------------------------------

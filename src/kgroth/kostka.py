@@ -25,9 +25,8 @@ from functools import cache
 from .partitions import (
     Record,
     _set,
-    check_partition,
+    check_bounded,
     degree,
-    is_k_bounded,
     k_bounded_up_to,
 )
 from .tableaux import _affine_steps, kostka_column, sweep
@@ -63,10 +62,8 @@ def affine_kostka(lam, mu, k: int) -> int:
     The weight is sorted into a partition first; rearranging it never changes
     the count, which the symmetry suite checks composition by composition.
     """
-    lam = check_partition(lam)
+    lam = check_bounded(lam, k)
     mu = tuple(sorted((int(a) for a in mu if int(a)), reverse=True))
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
     if any(a < 0 or a > k for a in mu):
         raise ValueError(f"weight must be k-bounded and nonnegative: {mu}")
     if degree(lam) > sum(mu):

@@ -152,6 +152,14 @@ def is_k_bounded(lam: tuple[int, ...], k: int) -> bool:
     return not lam or lam[0] <= k
 
 
+def check_bounded(parts, k: int) -> tuple[int, ...]:
+    """check_partition, also rejecting a partition with a part above k."""
+    lam = check_partition(parts)
+    if not is_k_bounded(lam, k):
+        raise ValueError(f"{lam} is not {k}-bounded")
+    return lam
+
+
 def _check_core(shape, k: int) -> tuple[int, ...]:
     """The partition tuple of shape, which must be a (k+1)-core with k >= 1."""
     shape = check_partition(shape)

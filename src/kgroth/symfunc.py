@@ -144,7 +144,13 @@ class SymFunc(Record):
         bound = _min_bound(self.deg_max, other.deg_max)
         out: dict[tuple[int, ...], int] = {}
         if self.basis in ("h", "e"):
-            out = _concat_product(self.coeffs, other.coeffs, bound)
+            # h_lam * h_mu = h_(lam + mu), and e alike
+            for a, ca in self.coeffs.items():
+                for b, cb in other.coeffs.items():
+                    key = tuple(sorted(a + b, reverse=True))
+                    if bound is not None and degree(key) > bound:
+                        continue
+                    out[key] = out.get(key, 0) + ca * cb
         elif self.basis == "m":
             for a, ca in self.coeffs.items():
                 for b, cb in other.coeffs.items():
@@ -156,18 +162,6 @@ class SymFunc(Record):
             prod = convert(self, "m") * convert(other, "m")
             return convert(prod.truncate(bound), "s")
         return SymFunc(self.basis, out, bound, k)
-
-
-def _concat_product(a: dict, b: dict, bound: int | None = None) -> dict[tuple[int, ...], int]:
-    """h_lam * h_mu = h_(lam + mu) on coefficient maps (e alike); keys above bound are dropped."""
-    out: dict[tuple[int, ...], int] = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            key = tuple(sorted(x + y, reverse=True))
-            if bound is not None and degree(key) > bound:
-                continue
-            out[key] = out.get(key, 0) + cx * cy
-    return out
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:

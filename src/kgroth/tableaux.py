@@ -22,13 +22,13 @@ from .partitions import (
     _corner_step,
     _set,
     bounded_to_core,
+    check_bounded,
     check_partition,
     conjugate,
     contains,
     core_to_bounded,
     degree,
     is_core,
-    is_k_bounded,
     removable_corners,
     residue,
     skew_cells,
@@ -351,9 +351,7 @@ class StripChain(Record):
 
 def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
     """All strip chains from the empty core to lam's core with sizes alpha."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     sizes = [int(a) for a in alpha if int(a)]
     if any(a < 0 or a > k for a in sizes):
         raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
@@ -383,10 +381,12 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 # ---------------------------------------------------------------------------
 # counting
 #
-# Every count is a sweep: states map a shape to its number of fillings, and
+# Every count is a sweep: states map a shape to an integer coefficient, and
 # step(shape, r, *args) gives the (shape', multiplicity) pairs one block of r
 # letters reaches.  Each tableau family has its own step, and sweep() serves
 # every column of every family: a column is the states after its weight.
+# The same engine folds the images of the inhomogeneous conjugation, whose
+# step multiplies an h-term by the image of one generator.
 
 
 def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tuple[int, ...], int]:
@@ -438,9 +438,7 @@ def _affine_steps(shape: tuple[int, ...], r: int, k: int):
 
 def count_kostka(lam, alpha, k: int) -> int:
     """Number of affine set-valued tableaux of shape c(lam) and weight alpha."""
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     sizes = [int(a) for a in alpha if int(a)]
     if any(a < 0 or a > k for a in sizes):
         raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")

@@ -15,8 +15,7 @@ from .partitions import (
     Cell,
     Record,
     _set,
-    check_partition,
-    is_k_bounded,
+    check_bounded,
     residue_word,
 )
 
@@ -56,9 +55,7 @@ def word_of_partition(lam, k: int) -> ResidueWord:
     Reads the residues of lam's own diagram from the top row down, right to
     left; evaluating it on the empty core produces the core image of lam.
     """
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     return ResidueWord(residue_word(lam, k), k)
 
 
@@ -193,7 +190,5 @@ def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
 
     The lam entry of factorizations_by_shape(alpha, k).
     """
-    lam = check_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"{lam} is not {k}-bounded")
+    lam = check_bounded(lam, k)
     return factorizations_by_shape(alpha, k).get(lam, [])

@@ -711,3 +711,24 @@ def m_to_he_through_e(f, target: str):
     solved = solve_unitriangular(f.coeffs, column, m_order)
     f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
     return f_e if target == "e" else convert(f_e, "h")
+
+
+# ---------------------------------------------------------------------------
+# the inhomogeneous conjugation through the e basis
+
+
+def omega_big_oracle(lam):
+    """Image of h_lam under h_r -> sum_j C(r-1, j-1) e_j, as an h-expansion.
+
+    The generators' images stay in the e basis, where the image of h_r has r
+    terms; their product is converted to h once.  The package instead
+    multiplies each partial image by the h-expansion of the next generator's.
+    """
+    from math import comb
+
+    from kgroth.symfunc import SymFunc, convert
+
+    image = SymFunc("e", {(): 1})
+    for r in lam:
+        image = image * SymFunc("e", {(j,): comb(r - 1, j - 1) for j in range(1, r + 1)})
+    return convert(image, "h")

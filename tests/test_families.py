@@ -35,6 +35,7 @@ from kgroth.schemas import SCAN_REPORT_SCHEMA
 from kgroth.symfunc import SymFunc, binomial, convert, e, h, hall_inner, m, s
 
 from known_values import COL_PIERI_321_R2_K3, ROW_PIERI_321_R2_K3
+from oracles import omega_big_oracle
 
 
 def test_dual_grothendieck_rows_are_complete_generators():
@@ -172,6 +173,13 @@ def test_omega_big_basics():
         omega_big(h((2,), deg_max=3))
 
 
+def test_omega_big_matches_the_e_basis_oracle():
+    shapes = [lam for d in range(9) for lam in partitions_of(d)]
+    assert len(shapes) == 67
+    for lam in shapes:
+        assert omega_big(h(lam)) == omega_big_oracle(lam), lam
+
+
 def test_omega_big_involution_small():
     for lam in k_bounded_up_to(5, 2):
         assert omega_big(omega_big(h(lam))) == h(lam)
@@ -289,16 +297,21 @@ def test_bijection_reports_missing_direct_fillings(monkeypatch):
 def test_omega_reports_a_wrong_generator_image(monkeypatch):
     import kgroth.families as families
 
-    true = families._omega_big_h
+    true = families._omega_step
 
-    def planted(r):
-        return true(r) + h((2,)) if r == 2 else true(r)
+    def planted(shape, r):
+        # the image of h_2 gains h_2
+        extra = ((tuple(sorted(shape + (2,), reverse=True)), 1),) if r == 2 else ()
+        return true(shape, r) + extra
 
-    monkeypatch.setattr(families, "_omega_big_h", planted)
+    # a patched step is a new sweep key, so the faulty images get their own memo
+    monkeypatch.setattr(families, "_omega_step", planted)
     res = verify_omega(2, 3)
     assert res.instances == 12
     assert len(res.failures) == 6
     assert res.failures[0] == "omega^2 moved h[(2,)]"
+    monkeypatch.undo()
+    assert verify_omega(2, 3).ok
 
 
 @pytest.mark.parametrize(

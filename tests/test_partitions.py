@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kgroth import families, kostka, tableaux, words
 from kgroth.partitions import (
     Core,
     _corner_step,
     add_cells,
     bounded_to_core,
+    check_bounded,
     check_partition,
     conjugate,
     core_to_bounded,
@@ -29,6 +31,37 @@ from oracles import (
     is_horizontal_strip,
     strip_transitions_by_corners,
 )
+
+
+def test_check_bounded():
+    assert check_bounded([2, 1], 2) == (2, 1)
+    assert check_bounded((), 1) == ()
+    with pytest.raises(ValueError, match=r"^\(3, 1\) is not 2-bounded$"):
+        check_bounded((3, 1), 2)
+    with pytest.raises(ValueError, match="weakly decrease"):
+        check_bounded((1, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (families.kkschur, (2,)),
+        (families.k_schur, (2,)),
+        (families.dual_k_schur, (2,)),
+        (families.affine_grothendieck, (2, 5)),
+        (families.row_pieri, (1, 2)),
+        (kostka.affine_kostka, ((1, 1, 1), 2)),
+        (tableaux.enumerate_tableaux, ((1, 1, 1), 2)),
+        (tableaux.count_kostka, ((1, 1, 1), 2)),
+        (words.word_of_partition, (2,)),
+        (words.alpha_factorizations, ((1, 1, 1), 2)),
+    ],
+    ids=lambda call: call[0].__name__,
+)
+def test_every_library_entry_rejects_an_unbounded_shape_alike(call):
+    fn, rest = call
+    with pytest.raises(ValueError, match=r"^\(3,\) is not 2-bounded$"):
+        fn((3,), *rest)
 
 
 @st.composite
