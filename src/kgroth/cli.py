@@ -235,8 +235,6 @@ def cmd_pieri(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.check not in families.VERIFY_CHECKS:
-        raise InputError(f"unknown check {args.check!r}")
     k = args.k if args.k is not None else 2
     deg_max = args.deg_max if args.deg_max is not None else 6
     result = families.VERIFY_CHECKS[args.check](k, deg_max)
@@ -258,8 +256,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.conjecture not in families.SCANS:
-        raise InputError(f"unknown conjecture {args.conjecture!r}")
     k = args.k if args.k is not None else 2
     deg_max = args.deg_max if args.deg_max is not None else 6
     if deg_max < 1:

@@ -312,8 +312,10 @@ def verify_k_newton(ell: int) -> bool:
 class CheckResult(Record):
     """The instances one verify suite ran and the messages of those that failed.
 
-    Unlike the other records it is filled in as the suite runs, so its fields
-    can be assigned and it has no hash.
+    A suite states each comparison once through expect, which builds the
+    instance's message only when the comparison fails.  Unlike the other
+    records it is filled in as the suite runs, so its fields can be assigned
+    and it has no hash.
     """
 
     __slots__ = ("check", "params", "instances", "failures")
@@ -335,10 +337,11 @@ class CheckResult(Record):
         # a check that ran on nothing shows nothing
         return self.instances > 0 and not self.failures
 
-    def record(self, condition: bool, message: str):
+    def expect(self, got, want, template: str, **inputs):
+        """Count one instance; if got != want, keep template filled with got, want and inputs."""
         self.instances += 1
-        if not condition:
-            self.failures.append(message)
+        if got != want:
+            self.failures.append(template.format(got=got, want=want, **inputs))
 
 
 def verify_duality(k: int, deg_max: int) -> CheckResult:
@@ -357,9 +360,8 @@ def verify_duality(k: int, deg_max: int) -> CheckResult:
     for lam in shapes:
         row = _linear(kkschur(lam, k).coeffs, lambda nu: big_by_key.get(nu, {}))
         for mu in shapes:
-            want = 1 if lam == mu else 0
-            got = row.get(mu, 0)
-            res.record(got == want, f"<g[{lam}], G[{mu}]> = {got}, expected {want}")
+            res.expect(row.get(mu, 0), int(lam == mu),
+                       "<g[{lam}], G[{mu}]> = {got}, expected {want}", lam=lam, mu=mu)
     return res
 
 
@@ -367,25 +369,24 @@ def verify_omega(k: int, deg_max: int) -> CheckResult:
     """The inhomogeneous conjugation squares to one and permutes the family."""
     res = CheckResult("omega", {"k": k, "deg_max": deg_max})
     for lam in k_bounded_up_to(deg_max, k):
-        back = omega_big(omega_big(h(lam)))
-        res.record(back == h(lam), f"omega^2 moved h[{lam}]")
-        image = omega_big(kkschur(lam, k))
-        want = kkschur(k_conjugate(lam, k), k)
-        res.record(image == want, f"omega g[{lam}] != g[{k_conjugate(lam, k)}]")
+        res.expect(omega_big(omega_big(h(lam))), h(lam), "omega^2 moved h[{lam}]", lam=lam)
+        conj = k_conjugate(lam, k)
+        res.expect(omega_big(kkschur(lam, k)), kkschur(conj, k),
+                   "omega g[{lam}] != g[{conj}]", lam=lam, conj=conj)
     return res
 
 
 def verify_newton_suite(deg_max: int) -> CheckResult:
     res = CheckResult("newton", {"deg_max": deg_max})
     for ell in range(deg_max + 1):
-        res.record(verify_newton(ell), f"Newton identity fails at degree {ell}")
+        res.expect(verify_newton(ell), True, "Newton identity fails at degree {ell}", ell=ell)
     return res
 
 
 def verify_k_newton_suite(deg_max: int) -> CheckResult:
     res = CheckResult("k-newton", {"deg_max": deg_max})
     for ell in range(deg_max + 1):
-        res.record(verify_k_newton(ell), f"K-Newton identity fails at degree {ell}")
+        res.expect(verify_k_newton(ell), True, "K-Newton identity fails at degree {ell}", ell=ell)
     return res
 
 
@@ -395,9 +396,10 @@ def verify_reduction_g(k: int, deg_max: int) -> CheckResult:
     for lam in k_bounded_up_to(deg_max, k):
         g = kkschur(lam, k)
         if degree(lam) <= k:
-            res.record(g == dual_grothendieck(lam), f"g[{lam}] != classical dual at k={k}")
-        top = g.homogeneous(degree(lam))
-        res.record(top == k_schur(lam, k), f"top of g[{lam}] is not the k-Schur element")
+            res.expect(g, dual_grothendieck(lam), "g[{lam}] != classical dual at k={k}",
+                       lam=lam, k=k)
+        res.expect(g.homogeneous(degree(lam)), k_schur(lam, k),
+                   "top of g[{lam}] is not the k-Schur element", lam=lam)
     return res
 
 
@@ -408,16 +410,10 @@ def verify_reduction_G(k: int, deg_max: int) -> CheckResult:
         bound = degree(lam) + 3
         big = affine_grothendieck(lam, k, bound)
         if main_hook(lam) <= k:
-            classical = grothendieck(lam, bound)
-            res.record(
-                big.coeffs == classical.coeffs,
-                f"G[{lam}] differs from the classical expansion at k={k}",
-            )
-        lowest = big.homogeneous(degree(lam))
-        res.record(
-            lowest == dual_k_schur(lam, k),
-            f"lowest component of G[{lam}] is not the dual k-Schur element",
-        )
+            res.expect(big.coeffs, grothendieck(lam, bound).coeffs,
+                       "G[{lam}] differs from the classical expansion at k={k}", lam=lam, k=k)
+        res.expect(big.homogeneous(degree(lam)), dual_k_schur(lam, k),
+                   "lowest component of G[{lam}] is not the dual k-Schur element", lam=lam)
     return res
 
 
@@ -427,12 +423,10 @@ def verify_pieri(k: int, deg_max: int) -> CheckResult:
     for lam in k_bounded_up_to(deg_max, k):
         g = kkschur(lam, k)
         for r in range(1, k + 1):
-            row = row_pieri(lam, r, k).as_symfunc()
-            res.record(row == h((r,)) * g, f"row rule fails at lam={lam}, r={r}")
-            col = column_pieri(lam, r, k).as_symfunc()
-            res.record(
-                col == kkschur((1,) * r, k) * g, f"column rule fails at lam={lam}, r={r}"
-            )
+            res.expect(row_pieri(lam, r, k).as_symfunc(), h((r,)) * g,
+                       "row rule fails at lam={lam}, r={r}", lam=lam, r=r)
+            res.expect(column_pieri(lam, r, k).as_symfunc(), kkschur((1,) * r, k) * g,
+                       "column rule fails at lam={lam}, r={r}", lam=lam, r=r)
     return res
 
 
@@ -449,11 +443,9 @@ def verify_kostka_symmetry(k: int, deg_max: int) -> CheckResult:
                 continue
             column = kostka_column(arrangement, k)
             for lam in shapes:
-                got = column.get(lam, 0)
-                res.record(
-                    got == base[lam],
-                    f"count({lam}, {arrangement}) = {got} != {base[lam]}",
-                )
+                res.expect(column.get(lam, 0), base[lam],
+                           "count({lam}, {arrangement}) = {got} != {want}",
+                           lam=lam, arrangement=arrangement)
     return res
 
 
@@ -486,18 +478,14 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
             for lam in k_bounded_up_to(n, k):
                 direct = fillings_by_shape.get(lam, set())
                 chains = enumerate_tableaux(lam, alpha, k)
-                from_chains = {ch.to_filling(alpha) for ch in chains}
-                res.record(
-                    from_chains == direct,
-                    f"chain fillings differ from direct fillings at lam={lam}, alpha={alpha}",
-                )
-                count = count_kostka(lam, alpha, k)
+                res.expect({ch.to_filling(alpha) for ch in chains}, direct,
+                           "chain fillings differ from direct fillings at lam={lam}, alpha={alpha}",
+                           lam=lam, alpha=alpha)
                 factor = len(factorizations.get(lam, ()))
-                res.record(
-                    len(chains) == count == factor == len(direct),
-                    f"counts disagree at lam={lam}, alpha={alpha}: chains={len(chains)} "
-                    f"dp={count} factorizations={factor} direct={len(direct)}",
-                )
+                res.expect((len(chains), count_kostka(lam, alpha, k), factor), (len(direct),) * 3,
+                           "counts disagree at lam={lam}, alpha={alpha}: chains={got[0]} "
+                           "dp={got[1]} factorizations={got[2]} direct={want[0]}",
+                           lam=lam, alpha=alpha)
     return res
 
 

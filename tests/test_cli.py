@@ -207,6 +207,43 @@ def test_bad_input_exits_2(argv, fragment, capsys):
     assert err.startswith("error:") and fragment in err
 
 
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        (
+            [],
+            "FAIL duality k=2 deg-max=4 instances=81 failures=1\n"
+            "  counterexample: <g[(2, 1)], G[(1,)]> = 1, expected 0\n",
+        ),
+        (
+            ["--format", "json"],
+            '{"check": "duality", "failures": ["<g[(2, 1)], G[(1,)]> = 1, expected 0"], '
+            '"instances": 81, "params": {"deg_max": 4, "k": 2}, "pass": false}\n',
+        ),
+    ],
+)
+def test_verify_failure_prints_each_counterexample(extra, want, monkeypatch, capsys):
+    import kgroth.families as families
+    from kgroth.symfunc import h
+
+    true = families.kkschur
+
+    def planted(lam, k):
+        g = true(lam, k)
+        return g + h((1,)) if lam == (2, 1) else g
+
+    monkeypatch.setattr(families, "kkschur", planted)
+    code, out, _ = run_cli(capsys, "verify", "duality", "--k", "2", "--deg-max", "4", *extra)
+    assert code == 1 and out == want
+
+
+@pytest.mark.parametrize("verb", ["verify", "scan"])
+def test_unknown_suite_name_exits_2(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "nosuch"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("deg_max", ["0", "1"])
 def test_verify_without_instances_fails(deg_max, capsys):
     code, out, _ = run_cli(capsys, "verify", "kostka-symmetry", "--k", "2", "--deg-max", deg_max)

@@ -342,9 +342,60 @@ def test_verify_suites_smoke():
 
 def test_check_result_records():
     res = CheckResult("demo", {})
-    res.record(True, "fine")
-    res.record(False, "broken")
-    assert not res.ok and res.instances == 2 and res.failures == ["broken"]
+    res.expect(1, 1, "fine")
+    res.expect(2, 3, "{name}: {got} != {want}", name="broken")
+    assert not res.ok and res.instances == 2 and res.failures == ["broken: 2 != 3"]
+
+
+def test_check_result_formats_only_failing_instances():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("a passing instance was formatted")
+
+    res = CheckResult("demo", {})
+    u = Unformattable()
+    res.expect(u, u, "{got} {want} {lam}", lam=u)
+    assert res.ok and res.instances == 1
+    res.expect((1, 2), (2, 1), "count({lam}) = {got} != {want}", lam=(2, 1))
+    assert res.instances == 2 and res.failures == ["count((2, 1)) = (1, 2) != (2, 1)"]
+    with pytest.raises(AssertionError):
+        res.expect(0, 1, "{lam}", lam=u)
+
+
+def test_every_suite_states_its_comparisons_through_expect():
+    """Each expect call's template is a literal, so no message is built before a failure."""
+    import ast
+    from pathlib import Path
+
+    import kgroth.families as families
+
+    tree = ast.parse(Path(families.__file__).read_text(encoding="utf-8"))
+
+    def expect_calls(node):
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "expect"
+        ]
+
+    for call in expect_calls(tree):
+        template = call.args[2] if len(call.args) > 2 else next(
+            kw.value for kw in call.keywords if kw.arg == "template"
+        )
+        assert isinstance(template, ast.Constant) and isinstance(template.value, str), (
+            ast.unparse(call)
+        )
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "VERIFY_CHECKS"
+    )
+    assert [key.value for key in table.keys] == list(families.VERIFY_CHECKS)
+    for key, entry in zip(table.keys, table.values):
+        suite = defs[entry.body.func.id]
+        assert expect_calls(suite), key.value
+        assert not any(isinstance(sub, ast.JoinedStr) for sub in ast.walk(suite)), key.value
 
 
 def test_check_result_without_instances_fails():

@@ -128,7 +128,7 @@ def test_pieri_equality_ignores_terms_and_strips():
 def test_check_result_is_mutable_and_unhashable():
     res = CheckResult("demo", {"k": 2})
     assert repr(res) == "CheckResult(check='demo', params={'k': 2}, instances=0, failures=[])"
-    res.record(False, "x")
+    res.expect(1, 2, "x")
     res.instances += 2
     assert res == CheckResult("demo", {"k": 2}, 3, ["x"])
     assert res != CheckResult("demo", {"k": 2}, 3, [])
