@@ -15,42 +15,62 @@ import sys
 
 from . import families, kostka
 from .partitions import check_partition, degree, is_k_bounded
-from .symfunc import convert
+from .symfunc import convert, s as schur
 from .tableaux import enumerate_tableaux
 
-FAMILIES = ("G", "g", "Gk", "gk", "ks", "dks", "s")
-AFFINE_FAMILIES = ("Gk", "gk", "ks", "dks")
-INFINITE_FAMILIES = ("G", "Gk")
-DEFAULT_BASIS = {"G": "m", "g": "h", "Gk": "m", "gk": "h", "ks": "h", "dks": "m", "s": "m"}
+# family -> (default basis, takes --k, series truncated at --deg-max, member);
+# member(lam, k, deg_max) looks its function up when called, so a rebound
+# name in families is the one used
+FAMILIES = {
+    "G": ("m", False, True, lambda lam, k, d: families.grothendieck(lam, d)),
+    "g": ("h", False, False, lambda lam, k, d: families.dual_grothendieck(lam)),
+    "Gk": ("m", True, True, lambda lam, k, d: families.affine_grothendieck(lam, k, d)),
+    "gk": ("h", True, False, lambda lam, k, d: families.kkschur(lam, k)),
+    "ks": ("h", True, False, lambda lam, k, d: families.k_schur(lam, k)),
+    "dks": ("m", True, False, lambda lam, k, d: families.dual_k_schur(lam, k)),
+    "s": ("m", False, False, lambda lam, k, d: schur(lam)),
+}
 
 
 class InputError(Exception):
     """Invalid command-line input; mapped to exit code 2."""
 
 
-def parse_partition(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str, what: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
     try:
-        parts = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise InputError(f"cannot parse partition {text!r}") from exc
+        raise InputError(f"cannot parse {what} {text!r}") from exc
+
+
+def parse_partition(text: str) -> tuple[int, ...]:
     try:
-        return check_partition(parts)
+        return check_partition(_parse_parts(text, "partition"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    if text.strip() == "":
-        return ()
-    try:
-        parts = tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse composition {text!r}") from exc
+    parts = _parse_parts(text, "composition")
     if any(v < 0 for v in parts):
         raise InputError(f"composition parts must be nonnegative: {parts}")
     return parts
+
+
+def _needs_k(args, what: str) -> int:
+    if args.k is None:
+        raise InputError(f"{what} needs --k")
+    return args.k
+
+
+def _require_bounded(k: int, lam=(), alpha=()) -> None:
+    """Bad input unless the shape lam and the weight alpha are k-bounded, in that order."""
+    if not is_k_bounded(lam, k):
+        raise InputError(f"{lam} is not {k}-bounded")
+    if any(v > k for v in alpha):
+        raise InputError(f"weight must be {k}-bounded: {alpha}")
 
 
 # lower bounds of the integer options, checked once for every verb
@@ -75,11 +95,6 @@ def _cache_dir(args) -> str | None:
     return path
 
 
-def _terms_payload(coeffs: dict[tuple[int, ...], int]) -> list[dict]:
-    ordered = sorted(coeffs.items(), key=lambda t: (degree(t[0]), t[0]))
-    return [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -87,15 +102,17 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _expansion_text(title: str, coeffs: dict[tuple[int, ...], int], basis: str) -> str:
-    lines = [title]
+def _emit_expansion(args, payload: dict, title: str, coeffs: dict, basis: str, tail=()) -> None:
+    """Emit payload with coeffs as its terms, or coeffs as text under title and above tail."""
     ordered = sorted(coeffs.items(), key=lambda t: (degree(t[0]), t[0]))
+    payload["terms"] = [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
+    lines = [title]
     if not ordered:
         lines.append("  0")
     width = max((len(str(c)) for _, c in ordered), default=1)
     for lam, c in ordered:
         lines.append(f"  {str(c).rjust(width)}  {basis}[{','.join(map(str, lam))}]")
-    return "\n".join(lines)
+    _emit(args, payload, "\n".join([*lines, *tail]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,43 +121,23 @@ def _expansion_text(title: str, coeffs: dict[tuple[int, ...], int], basis: str) 
 
 def cmd_expand(args) -> int:
     lam = parse_partition(args.partition)
-    family = args.family
-    k = args.k
-    if family in AFFINE_FAMILIES:
-        if k is None:
-            raise InputError(f"family {family} needs --k")
-        if not is_k_bounded(lam, k):
-            raise InputError(f"{lam} is not {k}-bounded")
-    deg_max = args.deg_max
-    if family in INFINITE_FAMILIES and deg_max is None:
-        deg_max = degree(lam) + 4
-    if family in INFINITE_FAMILIES and deg_max < degree(lam):
-        raise InputError(f"--deg-max {deg_max} is below the degree of {lam}")
-    # the finite families need only weights up to |lam|, which sweep faster
-    # than a whole matrix loads
-    if args.cache_dir and family == "Gk":
-        kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
-
-    if family == "G":
-        f = families.grothendieck(lam, deg_max)
-    elif family == "g":
-        f = families.dual_grothendieck(lam)
-    elif family == "Gk":
-        f = families.affine_grothendieck(lam, k, deg_max)
-    elif family == "gk":
-        f = families.kkschur(lam, k)
-    elif family == "ks":
-        f = families.k_schur(lam, k)
-    elif family == "dks":
-        f = families.dual_k_schur(lam, k)
-    else:
-        from .symfunc import s as schur
-
-        f = schur(lam)
-
-    if family not in INFINITE_FAMILIES and args.deg_max is not None:
-        f = f.truncate(args.deg_max)
-    basis = args.basis or DEFAULT_BASIS[family]
+    family, k, deg_max = args.family, args.k, args.deg_max
+    default_basis, affine, series, member = FAMILIES[family]
+    if affine:
+        _require_bounded(_needs_k(args, f"family {family}"), lam)
+    if series:
+        if deg_max is None:
+            deg_max = degree(lam) + 4
+        if deg_max < degree(lam):
+            raise InputError(f"--deg-max {deg_max} is below the degree of {lam}")
+        # a cached matrix serves the affine series; the finite families need only
+        # weights up to |lam|, which sweep faster than a whole matrix loads
+        if args.cache_dir and affine:
+            kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
+    f = member(lam, k, deg_max)
+    if not series and deg_max is not None:
+        f = f.truncate(deg_max)
+    basis = args.basis or default_basis
     if f.k is not None and basis != "m":
         raise InputError(f"family {family} lives in the quotient; only the m basis applies")
     if f.basis != basis:
@@ -151,31 +148,26 @@ def cmd_expand(args) -> int:
         "basis": basis,
         "k": k,
         "deg_max": f.deg_max,
-        "terms": _terms_payload(f.coeffs),
     }
     bound = "" if f.deg_max is None else f" truncated at degree {f.deg_max}"
     title = f"{family}[{','.join(map(str, lam))}]"
     if k is not None:
         title += f" (k={k})"
-    _emit(args, payload, _expansion_text(f"{title}{bound}, {basis} basis:", f.coeffs, basis))
+    _emit_expansion(args, payload, f"{title}{bound}, {basis} basis:", f.coeffs, basis)
     return 0
 
 
 def cmd_tableaux(args) -> int:
     lam = parse_partition(args.shape)
-    k = args.k
-    if k is None:
-        raise InputError("tableaux needs --k")
-    if not is_k_bounded(lam, k):
-        raise InputError(f"{lam} is not {k}-bounded")
+    k = _needs_k(args, "tableaux")
+    _require_bounded(k, lam)
     if (args.weight is None) == (args.standard_degree is None):
         raise InputError("give exactly one of --weight or --standard-degree")
     if args.standard_degree is not None:
         alpha = (1,) * args.standard_degree
     else:
         alpha = parse_composition(args.weight)
-        if any(v > k for v in alpha):
-            raise InputError(f"weight must be {k}-bounded: {alpha}")
+        _require_bounded(k, alpha=alpha)
     chains = enumerate_tableaux(lam, alpha, k)
     fillings = [ch.to_filling(alpha) for ch in chains]
     fillings.sort(key=lambda t: sorted((c, tuple(sorted(s))) for c, s in t.cells.items()))
@@ -185,26 +177,20 @@ def cmd_tableaux(args) -> int:
         "k": k,
         "count": len(fillings),
     }
+    lines = [f"count: {len(fillings)}"]
     if args.list:
         payload["tableaux"] = [t.to_json_dict() for t in fillings]
-        blocks = []
         for idx, t in enumerate(fillings):
-            blocks.append(f"[{idx + 1}]")
-            blocks.append(t.render(k=k, show_residues=args.residues))
-        text = "\n".join([f"count: {len(fillings)}"] + blocks)
-    else:
-        text = f"count: {len(fillings)}"
-    _emit(args, payload, text)
+            lines.append(f"[{idx + 1}]")
+            lines.append(t.render(k=k, show_residues=args.residues))
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def cmd_pieri(args) -> int:
     lam = parse_partition(args.partition)
-    k = args.k
-    if k is None:
-        raise InputError("pieri needs --k")
-    if not is_k_bounded(lam, k):
-        raise InputError(f"{lam} is not {k}-bounded")
+    k = _needs_k(args, "pieri")
+    _require_bounded(k, lam)
     if args.r > k:
         raise InputError(f"--r must not exceed k={k}")
     fn = families.row_pieri if args.direction == "row" else families.column_pieri
@@ -216,27 +202,24 @@ def cmd_pieri(args) -> int:
         "direction": args.direction,
         "partition": list(lam),
         "r": args.r,
-        "terms": _terms_payload(result.terms),
     }
     title = f"{args.direction} pieri: r={args.r} on gk[{','.join(map(str, lam))}], k={k}:"
-    text = _expansion_text(title, result.terms, "gk")
+    tail = []
     if args.strips:
         payload["strips"] = [
             {"mu": list(mu), "rho": list(rho)} for mu, rho in result.strips
         ]
-        lines = [text, "strips:"]
-        lines.extend(
+        tail = ["strips:"]
+        tail.extend(
             f"  mu=[{','.join(map(str, mu))}] rho=[{','.join(map(str, rho))}]"
             for mu, rho in result.strips
         )
-        text = "\n".join(lines)
-    _emit(args, payload, text)
+    _emit_expansion(args, payload, title, result.terms, "gk", tail)
     return 0
 
 
 def cmd_verify(args) -> int:
-    k = args.k if args.k is not None else 2
-    deg_max = args.deg_max if args.deg_max is not None else 6
+    k, deg_max = args.k, args.deg_max
     result = families.VERIFY_CHECKS[args.check](k, deg_max)
     payload = {
         "check": args.check,
@@ -256,10 +239,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    k = args.k if args.k is not None else 2
-    deg_max = args.deg_max if args.deg_max is not None else 6
+    k, deg_max = args.k, args.deg_max
     if deg_max < 1:
-        report = families._report(args.conjecture, k, deg_max, [], [])
+        report = families._report(args.conjecture, k, deg_max, [])
     else:
         report = families.SCANS[args.conjecture](k, deg_max)
     text = (
@@ -276,25 +258,20 @@ def cmd_scan(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    k = args.k
-    if k is None:
-        raise InputError("kostka needs --k")
+    k = _needs_k(args, "kostka")
     if (args.shape is None) != (args.weight is None):
         raise InputError("give both --shape and --weight, or neither")
     if args.shape is not None:
         lam = parse_partition(args.shape)
         alpha = parse_composition(args.weight)
-        if not is_k_bounded(lam, k):
-            raise InputError(f"{lam} is not {k}-bounded")
-        if any(v > k for v in alpha):
-            raise InputError(f"weight must be {k}-bounded: {alpha}")
+        _require_bounded(k, lam, alpha)
         from .tableaux import count_kostka
 
         value = count_kostka(lam, alpha, k)
         payload = {"k": k, "shape": list(lam), "weight": list(alpha), "count": value}
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")
         return 0
-    deg_max = args.deg_max if args.deg_max is not None else 4
+    deg_max = args.deg_max
     matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
     rows = matrix.entries
     # a matrix can have over 10^5 entries, so each row is written as it is
@@ -393,18 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("verify", "run an identity suite")
     p.add_argument("check", choices=sorted(families.VERIFY_CHECKS))
     common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, k=2, deg_max=6)
 
     p = verb("scan", "scan an open positivity question, reporting findings")
     p.add_argument("conjecture", choices=sorted(families.SCANS))
     common(p)
-    p.set_defaults(fn=cmd_scan)
+    p.set_defaults(fn=cmd_scan, k=2, deg_max=6)
 
     p = verb("kostka", "tableau-count matrices and entries")
     p.add_argument("--shape", default=None)
     p.add_argument("--weight", default=None)
     common(p)
-    p.set_defaults(fn=cmd_kostka)
+    p.set_defaults(fn=cmd_kostka, deg_max=4)
 
     return parser
 

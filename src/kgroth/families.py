@@ -54,7 +54,7 @@ def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
     return SymFunc("h", {mu: -c if (n - degree(mu)) % 2 else c for mu, c in solved.items()})
 
 
-def _series(lam: tuple[int, ...], deg_max: int, weights, column, *args) -> dict:
+def _series(lam: tuple[int, ...], deg_max: int, weights, column) -> dict:
     """m-coefficients (-1)^(|mu|-|lam|) column(mu)[lam], mu in weights(d), |lam| <= d <= deg_max."""
     n = degree(lam)
     if deg_max < n:
@@ -62,8 +62,8 @@ def _series(lam: tuple[int, ...], deg_max: int, weights, column, *args) -> dict:
     coeffs: dict[tuple[int, ...], int] = {}
     for d in range(n, deg_max + 1):
         sign = -1 if (d - n) % 2 else 1
-        for mu in weights(d, *args):
-            count = column(mu, *args).get(lam)
+        for mu in weights(d):
+            count = column(mu).get(lam)
             if count:
                 coeffs[mu] = sign * count
     return coeffs
@@ -111,14 +111,16 @@ def k_schur(lam, k: int) -> SymFunc:
 def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
     lam = check_bounded(lam, k)
-    n = degree(lam)
-    return SymFunc("m", _series(lam, n, k_bounded_partitions, weight_column, k), None, k)
+    coeffs = _series(lam, degree(lam), lambda d: k_bounded_partitions(d, k),
+                     lambda mu: weight_column(mu, k))
+    return SymFunc("m", coeffs, None, k)
 
 
 def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     """Signed weight generating function over all weights up to deg_max."""
     lam = check_bounded(lam, k)
-    coeffs = _series(lam, deg_max, k_bounded_partitions, weight_column, k)
+    coeffs = _series(lam, deg_max, lambda d: k_bounded_partitions(d, k),
+                     lambda mu: weight_column(mu, k))
     return SymFunc("m", coeffs, deg_max, k)
 
 
@@ -506,24 +508,34 @@ VERIFY_CHECKS = {
 # conjecture scans: findings, never failures
 
 
-def _sign_entries(rows, expect_nonneg_after_sign: bool):
+def _entries(rows, signed: bool = True, **fields) -> list[dict]:
+    """Report entries of (lam, mu, coeff) rows with the extra fields, which may set sign_ok.
+
+    A signed row's coefficient is normalized by the parity of |lam| + |mu|.
+    """
     entries = []
-    violations = []
     for lam, mu, coeff in rows:
-        signed = coeff if not expect_nonneg_after_sign else (
-            coeff if (degree(lam) + degree(mu)) % 2 == 0 else -coeff
-        )
-        entry = {
+        normalized = -coeff if signed and (degree(lam) + degree(mu)) % 2 else coeff
+        entries.append({
             "lam": list(lam),
             "mu": list(mu),
             "coeff": coeff,
-            "normalized": signed,
-            "sign_ok": signed >= 0,
-        }
-        entries.append(entry)
-        if signed < 0:
-            violations.append(entry)
-    return entries, violations
+            "normalized": normalized,
+            "sign_ok": normalized >= 0,
+            **fields,
+        })
+    return entries
+
+
+def _report(name: str, k: int, deg_max: int, entries: list[dict]) -> dict:
+    """A scan's report: its findings are the entries that are not sign_ok."""
+    return {
+        "conjecture": name,
+        "k": k,
+        "deg_max": deg_max,
+        "entries": entries,
+        "violations": [entry for entry in entries if not entry["sign_ok"]],
+    }
 
 
 def scan_G_in_dualks(k: int, deg_max: int) -> dict:
@@ -534,8 +546,7 @@ def scan_G_in_dualks(k: int, deg_max: int) -> dict:
             big, lambda mu: dual_k_schur(mu, k), lambda d: k_bounded_partitions(d, k), deg_max
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
-    entries, violations = _sign_entries(rows, True)
-    return _report("G-in-dualks-positivity", k, deg_max, entries, violations)
+    return _report("G-in-dualks-positivity", k, deg_max, _entries(rows))
 
 
 def scan_gk_in_g(k: int, deg_max: int) -> dict:
@@ -543,8 +554,7 @@ def scan_gk_in_g(k: int, deg_max: int) -> dict:
     for lam in k_bounded_up_to(deg_max, k):
         coeffs = expand_in_family(kkschur(lam, k), dual_grothendieck, partitions_of)
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
-    entries, violations = _sign_entries(rows, True)
-    return _report("gk-in-g-positivity", k, deg_max, entries, violations)
+    return _report("gk-in-g-positivity", k, deg_max, _entries(rows))
 
 
 def scan_gk_branching(k: int, deg_max: int) -> dict:
@@ -557,8 +567,8 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
             lambda d: k_bounded_partitions(d, k + 1),
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
-    entries, violations = _sign_entries(rows, True)
     # dual side: level-(k+1) generating functions reduced into level k
+    dual_rows = []
     for lam in k_bounded_up_to(deg_max, k + 1):
         coeffs = expand_in_dual_family(
             project_bounded(affine_grothendieck(lam, k + 1, deg_max), k),
@@ -566,13 +576,9 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
             lambda d: k_bounded_partitions(d, k),
             deg_max,
         )
-        sub_rows = [(lam, mu, c) for mu, c in sorted(coeffs.items())]
-        sub_entries, sub_violations = _sign_entries(sub_rows, True)
-        for entry in sub_entries:
-            entry["series"] = "generating-function-branching"
-        entries.extend(sub_entries)
-        violations.extend(sub_violations)
-    return _report("gk-branching-positivity", k, deg_max, entries, violations)
+        dual_rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
+    entries = _entries(rows) + _entries(dual_rows, series="generating-function-branching")
+    return _report("gk-branching-positivity", k, deg_max, entries)
 
 
 def scan_s_in_Gk(k: int, deg_max: int) -> dict:
@@ -587,40 +593,19 @@ def scan_s_in_Gk(k: int, deg_max: int) -> dict:
             deg_max,
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
-    entries, violations = _sign_entries(rows, False)
-    return _report("s-in-Gk-positivity", k, deg_max, entries, violations)
+    return _report("s-in-Gk-positivity", k, deg_max, _entries(rows, signed=False))
 
 
 def scan_kss_cancellation(k: int, deg_max: int) -> dict:
     """Whether low-hook members equal their classical limits exactly."""
     entries = []
-    violations = []
     for lam in k_bounded_up_to(deg_max, k):
         if main_hook(lam) > k:
             continue
         residual = kkschur(lam, k) - dual_grothendieck(lam)
-        entry = {
-            "lam": list(lam),
-            "mu": list(lam),
-            "coeff": len(residual.coeffs),
-            "normalized": len(residual.coeffs),
-            "sign_ok": residual.is_zero(),
-            "exact": residual.is_zero(),
-        }
-        entries.append(entry)
-        if not residual.is_zero():
-            violations.append(entry)
-    return _report("kss-cancellation", k, deg_max, entries, violations)
-
-
-def _report(name: str, k: int, deg_max: int, entries, violations) -> dict:
-    return {
-        "conjecture": name,
-        "k": k,
-        "deg_max": deg_max,
-        "entries": entries,
-        "violations": violations,
-    }
+        exact = residual.is_zero()
+        entries += _entries([(lam, lam, len(residual.coeffs))], sign_ok=exact, exact=exact)
+    return _report("kss-cancellation", k, deg_max, entries)
 
 
 SCANS = {

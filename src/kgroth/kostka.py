@@ -26,6 +26,7 @@ from .partitions import (
     Record,
     _set,
     check_bounded,
+    check_composition,
     degree,
     k_bounded_up_to,
 )
@@ -63,9 +64,7 @@ def affine_kostka(lam, mu, k: int) -> int:
     the count, which the symmetry suite checks composition by composition.
     """
     lam = check_bounded(lam, k)
-    mu = tuple(sorted((int(a) for a in mu if int(a)), reverse=True))
-    if any(a < 0 or a > k for a in mu):
-        raise ValueError(f"weight must be k-bounded and nonnegative: {mu}")
+    mu = tuple(sorted(check_composition(mu, k), reverse=True))
     if degree(lam) > sum(mu):
         return 0
     return weight_column(mu, k).get(lam, 0)

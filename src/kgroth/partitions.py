@@ -160,6 +160,14 @@ def check_bounded(parts, k: int) -> tuple[int, ...]:
     return lam
 
 
+def check_composition(alpha, k: int) -> tuple[int, ...]:
+    """The nonzero parts of alpha, which must all lie in [0, k]."""
+    parts = tuple(int(a) for a in alpha if int(a))
+    if any(a < 0 or a > k for a in parts):
+        raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
+    return parts
+
+
 def _check_core(shape, k: int) -> tuple[int, ...]:
     """The partition tuple of shape, which must be a (k+1)-core with k >= 1."""
     shape = check_partition(shape)

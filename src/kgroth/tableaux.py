@@ -23,6 +23,7 @@ from .partitions import (
     _set,
     bounded_to_core,
     check_bounded,
+    check_composition,
     check_partition,
     conjugate,
     contains,
@@ -352,9 +353,7 @@ class StripChain(Record):
 def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
     """All strip chains from the empty core to lam's core with sizes alpha."""
     lam = check_bounded(lam, k)
-    sizes = [int(a) for a in alpha if int(a)]
-    if any(a < 0 or a > k for a in sizes):
-        raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
+    sizes = check_composition(alpha, k)
     target = Core.from_bounded(lam, k).shape
     n = degree(lam)
     chains: list[StripChain] = []
@@ -439,9 +438,7 @@ def _affine_steps(shape: tuple[int, ...], r: int, k: int):
 def count_kostka(lam, alpha, k: int) -> int:
     """Number of affine set-valued tableaux of shape c(lam) and weight alpha."""
     lam = check_bounded(lam, k)
-    sizes = [int(a) for a in alpha if int(a)]
-    if any(a < 0 or a > k for a in sizes):
-        raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
+    sizes = check_composition(alpha, k)
     if sum(sizes) < degree(lam):
         return 0
     # pruned to the shapes inside the target's core, far fewer than a column

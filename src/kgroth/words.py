@@ -16,6 +16,7 @@ from .partitions import (
     Record,
     _set,
     check_bounded,
+    check_composition,
     residue_word,
 )
 
@@ -163,9 +164,7 @@ def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[Factori
     element of the bounded image of its final core.  Zero parts of alpha are
     skipped.  Each list is sorted by the letters of its blocks.
     """
-    sizes = [int(a) for a in alpha if int(a) != 0]
-    if any(a < 0 or a > k for a in sizes):
-        raise ValueError(f"composition must be k-bounded and nonnegative: {alpha}")
+    sizes = check_composition(alpha, k)
     groups: dict[tuple[int, ...], list[Factorization]] = {}
 
     def rec(pos: int, core: Core, chosen: tuple[ResidueWord, ...]):

@@ -660,3 +660,57 @@ def test_degree_60_schur_expansion_reads_one_column(partition, basis, term):
     )
     assert proc.returncode == 0, proc.stderr
     assert [line.split() for line in proc.stdout.splitlines()[1:]] == [["1", term]]
+
+
+# SHA-256 of the exit code, stdout and stderr of `kgroth expand --family F
+# --partition 2,1 --k 2` with each --basis (none, m, h, e, s), in text and JSON,
+# recorded when each family's traits sat in four tables and an if chain
+EXPAND_FAMILY_SHA256 = {
+    "G": "f753bdef1009ea8fa2cf50b46b32449ec578097650b86b3ef72d941a5f7cafc8",
+    "g": "3282c750a1da187e3d8684b4b057ff6f20e6f45331bf5340cd472bd0cab55e27",
+    "Gk": "26fc1efebfff285b928fed31b54b27cba4b6e3c0df5fd55825543ad2096f8e19",
+    "gk": "fd679ef78b6ade503e564b5a10afa7ae0f77bee3ea99a7ff541bbb66b20f9503",
+    "ks": "f374508f5c1608032308020349639d0d6c8b8fa2d64a5ac8b0f4a14f43dd84dd",
+    "dks": "fdad5a8f1c5097efddc8f826d12eebae3cd19c84dde28944ffc276a5125ae3e8",
+    "s": "3ff7223f589906b89be410a4b167d62618618fa6f4e2ad8ef8e1b64a43446e3e",
+}
+
+
+@pytest.mark.parametrize("family", list(EXPAND_FAMILY_SHA256))
+def test_expand_of_every_family_and_basis_is_pinned(family, capsys):
+    record = []
+    for basis in ((), ("--basis", "m"), ("--basis", "h"), ("--basis", "e"), ("--basis", "s")):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "expand", "--family", family, "--partition", "2,1",
+                                     "--k", "2", *basis, "--format", fmt)
+            record.append(f"{basis} {fmt} exit {code}\n{out}\0{err}\0")
+    digest = hashlib.sha256("".join(record).encode("ascii")).hexdigest()
+    assert digest == EXPAND_FAMILY_SHA256[family]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["tableaux", "--shape", "2,x", "--weight", "1"], "cannot parse partition '2,x'"),
+        (["tableaux", "--shape", "3", "--weight", "3"], "tableaux needs --k"),
+        (["tableaux", "--shape", "3", "--k", "2"], "(3,) is not 2-bounded"),
+        (["tableaux", "--shape", "3", "--k", "2", "--weight", "x"], "(3,) is not 2-bounded"),
+        (["tableaux", "--shape", "1", "--k", "2", "--weight", "3", "--standard-degree", "1"],
+         "give exactly one of --weight or --standard-degree"),
+        (["expand", "--family", "gk", "--partition", "2,x"], "cannot parse partition '2,x'"),
+        (["expand", "--family", "Gk", "--partition", "3", "--k", "2", "--deg-max", "1"],
+         "(3,) is not 2-bounded"),
+        (["expand", "--family", "dks", "--partition", "3", "--k", "2", "--basis", "h"],
+         "(3,) is not 2-bounded"),
+        (["expand", "--family", "Gk", "--partition", "2", "--k", "2", "--deg-max", "1",
+          "--basis", "h"], "--deg-max 1 is below the degree of (2,)"),
+        (["pieri", "row", "--partition", "3,x", "--r", "1"], "cannot parse partition '3,x'"),
+        (["pieri", "row", "--partition", "3", "--r", "3", "--k", "2"], "(3,) is not 2-bounded"),
+        (["kostka", "--k", "2", "--shape", "3", "--weight", "3"], "(3,) is not 2-bounded"),
+        (["kostka", "--shape", "x", "--weight", "1"], "kostka needs --k"),
+        (["kostka", "--k", "2", "--shape", "x"], "give both --shape and --weight, or neither"),
+        (["kostka", "--k", "2", "--shape", "3", "--weight", "x"], "cannot parse composition 'x'"),
+    ],
+)
+def test_an_input_with_two_faults_reports_the_first(argv, err, capsys):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")

@@ -414,3 +414,94 @@ def test_scan_reports_are_schema_valid():
 def test_kss_scan_is_exact_at_tiny_degree():
     report = scan_kss_cancellation(2, 2)
     assert all(entry["exact"] for entry in report["entries"])
+
+
+def _every_other_negated(solve):
+    """solve with every other coefficient of its result negated, in key order."""
+
+    def planted(*args):
+        coeffs = sorted(solve(*args).items())
+        return {mu: -c if i % 2 else c for i, (mu, c) in enumerate(coeffs)}
+
+    return planted
+
+
+def _wrong_at_2(dual):
+    """dual with a wrong value at (2,), a shape whose main hook is 2."""
+    return lambda lam: dual(lam) + h((1,)) if lam == (2,) else dual(lam)
+
+
+PLANTS = {
+    "expand_in_family": _every_other_negated,
+    "expand_in_dual_family": _every_other_negated,
+    "dual_grothendieck": _wrong_at_2,
+}
+
+# SHA-256 of json.dumps(report, sort_keys=True) for each scan at k=2, deg_max=5
+# with the planted faults, recorded when each scan built its entry and
+# violation lists itself
+SCAN_FINDINGS_SHA256 = {
+    "G-in-dualks-positivity": "13d41d1434576e19203488b287d9af7db041f950713c3e4e48a3099025b9bb0d",
+    "gk-in-g-positivity": "8dd6b2bd7539d989d60c1b3b56324d778673e017354e2d279f9b44c9639efad5",
+    "gk-branching-positivity": "79c6961e8816198227fb21ba58d04a46a4975727930d3111379db8b0e097de3a",
+    "s-in-Gk-positivity": "b736d7d5863fdaeac40df17e1f8e42dea6b886ae46bc60a13646ecaeba0df797",
+    "kss-cancellation": "0311f0435ac4d290f80b21ef4e4b44b4c165484b34a4670b961c9ef9a262c14e",
+}
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("G-in-dualks-positivity", ("expand_in_dual_family",)),
+    ("gk-in-g-positivity", ("expand_in_family",)),
+    ("gk-branching-positivity", ("expand_in_family", "expand_in_dual_family")),
+    ("s-in-Gk-positivity", ("expand_in_dual_family",)),
+    ("kss-cancellation", ("dual_grothendieck",)),
+])
+def test_scan_findings_are_pinned(name, planted, monkeypatch):
+    # no scan finds anything on the true families at small sizes, so faults
+    # are planted to reach the findings
+    import hashlib
+    import json
+
+    import kgroth.families as families
+
+    for attr in planted:
+        monkeypatch.setattr(families, attr, PLANTS[attr](getattr(families, attr)))
+    report = families.SCANS[name](2, 5)
+    jsonschema.validate(report, SCAN_REPORT_SCHEMA)
+    assert report["violations"]
+    assert report["violations"] == [entry for entry in report["entries"] if not entry["sign_ok"]]
+    if name == "gk-branching-positivity":
+        assert {v.get("series") for v in report["violations"]} == {
+            None, "generating-function-branching"
+        }
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == SCAN_FINDINGS_SHA256[name]
+
+
+def test_every_scan_reports_through_one_builder():
+    """Each scan returns _report(...), the only function that builds a report dict."""
+    import ast
+    from pathlib import Path
+
+    import kgroth.families as families
+
+    tree = ast.parse(Path(families.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for fn in families.SCANS.values():
+        returns = [sub for sub in ast.walk(defs[fn.__name__]) if isinstance(sub, ast.Return)]
+        assert returns, fn.__name__
+        for ret in returns:
+            assert isinstance(ret.value, ast.Call), fn.__name__
+            assert getattr(ret.value.func, "id", None) == "_report", fn.__name__
+    for name, node in defs.items():
+        if name == "_report":
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Dict):
+                keys = sub.keys
+            elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+                keys = [sub.slice]
+            else:
+                keys = []
+            assert not any(isinstance(key, ast.Constant) and key.value == "violations"
+                           for key in keys), name

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from kgroth.partitions import (
     add_cells,
     bounded_to_core,
     check_bounded,
+    check_composition,
     check_partition,
     conjugate,
     core_to_bounded,
@@ -62,6 +65,27 @@ def test_every_library_entry_rejects_an_unbounded_shape_alike(call):
     fn, rest = call
     with pytest.raises(ValueError, match=r"^\(3,\) is not 2-bounded$"):
         fn((3,), *rest)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda alpha: tableaux.count_kostka((2, 1), alpha, 2),
+        lambda alpha: len(tableaux.enumerate_tableaux((2, 1), alpha, 2)),
+        lambda alpha: len(words.factorizations_by_shape(alpha, 2).get((2, 1), [])),
+        lambda alpha: len(words.alpha_factorizations((2, 1), alpha, 2)),
+        lambda alpha: kostka.affine_kostka((2, 1), alpha, 2),
+    ],
+    ids=["count_kostka", "enumerate_tableaux", "factorizations_by_shape", "alpha_factorizations",
+         "affine_kostka"],
+)
+def test_every_library_entry_checks_a_composition_alike(count):
+    for alpha in ((3,), (1, -1)):
+        message = f"composition must be k-bounded and nonnegative: {alpha}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count(alpha)
+    assert count((0, 1, 0, 1, 1)) == count((1, 1, 1)) > 0
+    assert check_composition((0, 2, 0, 1), 2) == (2, 1)
 
 
 @st.composite
