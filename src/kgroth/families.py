@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .kostka import weight_column
+from .kostka import _column
 from .partitions import (
     check_bounded,
     check_partition,
@@ -93,7 +93,7 @@ def grothendieck(lam, deg_max: int) -> SymFunc:
 def kkschur(lam, k: int) -> SymFunc:
     """Exact h-expansion of the K-theoretic affine family member for lam."""
     lam = check_bounded(lam, k)
-    return _solve_h(lam, lambda mu: weight_column(mu, k))
+    return _solve_h(lam, lambda mu: _column(mu, k))
 
 
 @cache
@@ -103,7 +103,7 @@ def k_schur(lam, k: int) -> SymFunc:
 
     def top_column(mu):
         n = degree(mu)
-        return {nu: c for nu, c in weight_column(mu, k).items() if degree(nu) == n}
+        return {nu: c for nu, c in _column(mu, k).items() if degree(nu) == n}
 
     return _solve_h(lam, top_column)
 
@@ -112,7 +112,7 @@ def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
     lam = check_bounded(lam, k)
     coeffs = _series(lam, degree(lam), lambda d: k_bounded_partitions(d, k),
-                     lambda mu: weight_column(mu, k))
+                     lambda mu: _column(mu, k))
     return SymFunc("m", coeffs, None, k)
 
 
@@ -120,7 +120,7 @@ def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     """Signed weight generating function over all weights up to deg_max."""
     lam = check_bounded(lam, k)
     coeffs = _series(lam, deg_max, lambda d: k_bounded_partitions(d, k),
-                     lambda mu: weight_column(mu, k))
+                     lambda mu: _column(mu, k))
     return SymFunc("m", coeffs, deg_max, k)
 
 
@@ -539,11 +539,12 @@ def _report(name: str, k: int, deg_max: int, entries: list[dict]) -> dict:
 
 
 def scan_G_in_dualks(k: int, deg_max: int) -> dict:
+    member = cache(lambda mu: dual_k_schur(mu, k))
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
         big = affine_grothendieck(lam, k, deg_max)
         coeffs = expand_in_dual_family(
-            big, lambda mu: dual_k_schur(mu, k), lambda d: k_bounded_partitions(d, k), deg_max
+            big, member, lambda d: k_bounded_partitions(d, k), deg_max
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     return _report("G-in-dualks-positivity", k, deg_max, _entries(rows))
@@ -568,11 +569,12 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     # dual side: level-(k+1) generating functions reduced into level k
+    member = cache(lambda mu: affine_grothendieck(mu, k, deg_max))
     dual_rows = []
     for lam in k_bounded_up_to(deg_max, k + 1):
         coeffs = expand_in_dual_family(
             project_bounded(affine_grothendieck(lam, k + 1, deg_max), k),
-            lambda mu: affine_grothendieck(mu, k, deg_max),
+            member,
             lambda d: k_bounded_partitions(d, k),
             deg_max,
         )
@@ -584,11 +586,12 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
 def scan_s_in_Gk(k: int, deg_max: int) -> dict:
     from .symfunc import s as schur
 
+    member = cache(lambda mu: affine_grothendieck(mu, k, deg_max))
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
         coeffs = expand_in_dual_family(
             project_bounded(schur(lam), k),
-            lambda mu: affine_grothendieck(mu, k, deg_max),
+            member,
             lambda d: k_bounded_partitions(d, k),
             deg_max,
         )

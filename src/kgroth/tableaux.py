@@ -11,6 +11,7 @@ through partitions._corner_step, the letter rule that Core.act wraps.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -397,8 +398,9 @@ def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tu
     return nxt
 
 
-# per (step, args), the states after every partition prefix swept so far
-_PREFIXES: dict[tuple, dict[tuple[int, ...], dict[tuple[int, ...], int]]] = {}
+# per (step, args), the states after every partition prefix swept or loaded
+_PREFIXES: dict[tuple, dict[tuple[int, ...], dict[tuple[int, ...], int]]] = defaultdict(
+    lambda: {(): {(): 1}})
 
 
 def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
@@ -409,7 +411,11 @@ def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
     first ascent of a composition are swept afresh and not kept: only the
     symmetry check reads such weights.  Callers must not mutate the result.
     """
-    memo = _PREFIXES.setdefault((step, args), {(): {(): 1}})
+    memo = _PREFIXES[(step, args)]
+    # a kept weight reads back in one lookup; lists and zero-padded weights walk
+    states = memo.get(mu) if type(mu) is tuple else None
+    if states is not None:
+        return states
     parts = tuple(int(a) for a in mu if int(a))
     kept = min(1, len(parts))
     while kept < len(parts) and parts[kept] <= parts[kept - 1]:

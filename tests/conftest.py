@@ -8,9 +8,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def empty_kostka_cache():
-    """No Kostka matrix held in memory before the test, and none left after it."""
-    from kgroth import kostka
+    """No affine column held in memory before the test, and none left after it."""
+    from kgroth import kostka, tableaux
 
-    kostka._MATRICES.clear()
+    tableaux._PREFIXES.clear()
+    kostka._column.cache_clear()
     yield
-    kostka._MATRICES.clear()
+    tableaux._PREFIXES.clear()
+    kostka._column.cache_clear()

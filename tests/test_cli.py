@@ -294,9 +294,6 @@ def test_kostka_cache_roundtrip(tmp_path, capsys, empty_kostka_cache):
     )
     files = list(tmp_path.iterdir())
     assert files and files[0].suffix == ".json"
-    import kgroth.kostka as kostka
-
-    kostka._MATRICES.clear()
     code2, doc2, _ = run_json(
         capsys, "kostka", "--k", "2", "--deg-max", "3", "--cache-dir", str(tmp_path)
     )
@@ -340,7 +337,6 @@ def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsy
         with open(planted, "w", encoding="ascii") as fh:
             fh.write('{"format_version": 2, "k": 2, "deg_max": 4, "partitions": [[1]], '
                      '"columns": [[[1], 1]]}')
-    kostka._MATRICES.clear()
     _, got, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "4",
                          "--cache-dir", str(tmp_path))
     assert got == want
@@ -369,7 +365,6 @@ def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, c
         argv = ["kostka", "--k", "2", "--deg-max", "5"]
     fresh = tmp_path / "fresh"
     _, want, _ = run_cli(capsys, *argv, "--cache-dir", str(fresh))
-    kostka._MATRICES.clear()
     fresh_path = kostka._cache_path(2, deg_max, str(fresh))
     planted = kostka._cache_path(2, deg_max, str(tmp_path))
     with open(fresh_path, encoding="ascii") as fh:

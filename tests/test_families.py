@@ -478,6 +478,28 @@ def test_scan_findings_are_pinned(name, planted, monkeypatch):
     assert digest == SCAN_FINDINGS_SHA256[name]
 
 
+@pytest.mark.parametrize("name, member, k, deg_max", [
+    ("G-in-dualks-positivity", "dual_k_schur", 3, 6),
+    ("gk-branching-positivity", "affine_grothendieck", 2, 5),
+    ("s-in-Gk-positivity", "affine_grothendieck", 2, 6),
+])
+def test_each_scan_builds_each_member_once(name, member, k, deg_max, monkeypatch):
+    from collections import Counter
+
+    import kgroth.families as families
+
+    true = getattr(families, member)
+    builds = Counter()
+
+    def counted(*args):
+        builds[args] += 1
+        return true(*args)
+
+    monkeypatch.setattr(families, member, counted)
+    families.SCANS[name](k, deg_max)
+    assert builds and max(builds.values()) == 1, builds.most_common(3)
+
+
 def test_every_scan_reports_through_one_builder():
     """Each scan returns _report(...), the only function that builds a report dict."""
     import ast

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import kgroth.kostka as kostka
+from kgroth import tableaux
 from kgroth.partitions import k_bounded_up_to
 
 from oracles import affine_column_by_weight
@@ -15,7 +16,7 @@ K3_D8_FILE_SHA256 = "112a86b1ce5e95e3d00b5f4312fc2bea0db54af97adee21140edb307afc
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_prefix_tree_matches_per_weight_sweeps(k):
-    columns = kostka._all_columns(k, 9)
+    columns = kostka.build_affine_kostka(k, 9).columns
     weights = k_bounded_up_to(9, k)
     assert sorted(columns) == sorted(weights)
     for mu in weights:
@@ -51,12 +52,17 @@ def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch,
     assert list(tmp_path.glob("*.tmp")) == [] and list(tmp_path.iterdir()) == []
 
 
+def _forget_columns():
+    tableaux._PREFIXES.clear()
+    kostka._column.cache_clear()
+
+
 def test_a_smaller_matrix_is_a_slice_of_the_held_one(tmp_path, empty_kostka_cache):
     large = kostka.build_affine_kostka(3, 8)
     small = kostka.build_affine_kostka(3, 5, str(tmp_path / "slice"))
-    assert kostka._MATRICES[3] is large
     assert small.deg_max == 5 and set(small.columns) == set(k_bounded_up_to(5, 3))
-    kostka._MATRICES.clear()
+    assert all(col is large.columns[mu] for mu, col in small.columns.items())
+    _forget_columns()
     fresh = kostka.build_affine_kostka(3, 5, str(tmp_path / "fresh"))
     assert small == fresh
     with open(kostka._cache_path(3, 5, str(tmp_path / "slice")), "rb") as fh, \
@@ -64,8 +70,32 @@ def test_a_smaller_matrix_is_a_slice_of_the_held_one(tmp_path, empty_kostka_cach
         assert fh.read() == good.read()
 
 
+def test_a_loaded_matrix_is_read_through_the_sweep_memo(tmp_path, empty_kostka_cache):
+    built = kostka.build_affine_kostka(3, 7, str(tmp_path))
+    _forget_columns()
+    loaded = kostka.build_affine_kostka(3, 7, str(tmp_path))
+    assert loaded == built
+    memo = tableaux._PREFIXES[(tableaux._affine_steps, (3,))]
+    for mu in k_bounded_up_to(7, 3):
+        assert kostka._column(mu, 3) is loaded.columns[mu] is memo[mu], mu
+    # a heavier weight advances from its loaded prefix
+    assert kostka._column((3, 3, 1, 1), 3) == affine_column_by_weight((3, 3, 1, 1), 3)
+
+
+def test_a_column_swept_before_a_load_is_kept(tmp_path, empty_kostka_cache):
+    kostka.build_affine_kostka(2, 6, str(tmp_path))
+    _forget_columns()
+    swept = kostka._column((2, 2, 1, 1), 2)
+    on_file = kostka._load(2, 6, str(tmp_path)).columns
+    loaded = kostka.build_affine_kostka(2, 6, str(tmp_path))
+    memo = tableaux._PREFIXES[(tableaux._affine_steps, (2,))]
+    assert loaded.columns[(2, 2, 1, 1)] is swept is memo[(2, 2, 1, 1)]
+    assert on_file[(2, 2, 1, 1)] == swept and on_file[(2, 2, 1, 1)] is not swept
+    assert loaded.columns[(2, 2, 2)] is memo[(2, 2, 2)] is kostka._column((2, 2, 2), 2)
+
+
 def test_entries_are_sorted_rows():
-    matrix = kostka.KostkaMatrix(2, 2, kostka._all_columns(2, 2))
+    matrix = kostka.build_affine_kostka(2, 2)
     rows = matrix.entries
     assert rows == sorted(rows)
     assert ((1,), (1, 1), 1) in rows

@@ -434,6 +434,18 @@ def test_classical_sweeps_match_the_per_weight_loop(step, read, fresh_sweeps):
     assert set(kept) == {mu for n in range(9) for mu in partitions_of(n)}
 
 
+def test_a_kept_weight_reads_back_the_walked_states(fresh_sweeps):
+    walked = sweep((3, 2, 1), tableaux._affine_steps, 3)
+    kept = tableaux._PREFIXES[(tableaux._affine_steps, (3,))]
+    assert kept[(3, 2, 1)] is walked
+    assert sweep((3, 2, 1), tableaux._affine_steps, 3) is walked
+    # a list is not a memo key and a padded weight is not kept: both walk
+    assert sweep([3, 2, 1], tableaux._affine_steps, 3) is walked
+    assert sweep((3, 2, 1, 0), tableaux._affine_steps, 3) is walked
+    assert sweep((2, 2, 0), tableaux._affine_steps, 3) is kept[(2, 2)]
+    assert all(0 not in prefix for prefix in kept)
+
+
 def test_sweep_walks_long_weights_without_recursion(fresh_sweeps):
     def stay(shape, r):
         return ((shape, 1),)
