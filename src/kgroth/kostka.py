@@ -160,17 +160,21 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
     # the weights are all the k-bounded partitions of degree <= deg_max, so
     # their list indexes every shape too
     parts = sorted(matrix.columns)
-    index = {lam: i for i, lam in enumerate(parts)}
+    index_of = {lam: i for i, lam in enumerate(parts)}.__getitem__
+    flats = []
+    for mu in parts:
+        # the shape indices sort as the shapes do, and as plain ints faster
+        col = matrix.columns[mu]
+        flat: list[int] = []
+        for i in sorted(map(index_of, col)):
+            flat += (i, col[parts[i]])
+        flats.append(flat)
     payload = {
         "format_version": FORMAT_VERSION,
         "k": matrix.k,
         "deg_max": matrix.deg_max,
         "partitions": parts,
-        "columns": [
-            [x for entry in sorted((index[lam], v) for lam, v in matrix.columns[mu].items())
-             for x in entry]
-            for mu in parts
-        ],
+        "columns": flats,
     }
     # write-then-rename keeps readers away from partial files.  The sibling
     # is opened the way tempfile.mkstemp opens one, exclusively and private;
@@ -179,8 +183,9 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            # json.dumps runs the C encoder, json.dump never does; the bytes agree
-            fh.write(json.dumps(payload, sort_keys=True))
+            # json.dumps runs the C encoder, json.dump never does; the bytes agree.
+            # The payload is lists of ints and tuples, so no cycle check is needed
+            fh.write(json.dumps(payload, sort_keys=True, check_circular=False))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,6 +9,7 @@ is (col - row) mod (k+1) with zeros on the main diagonal.
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 Cell = tuple[int, int]
 
@@ -52,10 +53,10 @@ class Record:
 
 def check_partition(parts) -> tuple[int, ...]:
     """Normalize an iterable to a partition tuple, rejecting bad input."""
-    lam = tuple(int(v) for v in parts)
-    if any(v <= 0 for v in lam):
+    lam = tuple(map(int, parts))
+    if lam and min(lam) <= 0:
         raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(int.__lt__, lam, lam[1:])):
         raise ValueError(f"partition parts must weakly decrease: {lam}")
     return lam
 
@@ -136,16 +137,17 @@ def residue(cell: Cell, k: int) -> int:
 
 
 def is_core(lam: tuple[int, ...], k: int) -> bool:
-    """True iff no cell of lam has hook length exactly k+1."""
+    """True iff no cell of lam has hook length exactly k+1.
+
+    The abacus test, one step per row: the first-column hook lengths are
+    distinct, and a cell of hook length k+1 exists exactly when one of them,
+    h >= k+1, has h-(k+1) missing from the set.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    conj = conjugate(lam)
     p = k + 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            if (row - j) + (conj[j] - i) - 1 == p:
-                return False
-    return True
+    beads = set(map(add, lam, range(len(lam) - 1, -1, -1)))
+    return all(h - p in beads for h in beads if h >= p)
 
 
 def is_k_bounded(lam: tuple[int, ...], k: int) -> bool:

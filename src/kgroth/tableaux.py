@@ -262,13 +262,8 @@ def _block_letters(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@cache
-def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
-    """All (gamma_shape, rho) reachable from beta by one marked block of size r."""
-    Core(beta_shape, k)  # rejects a shape that is not a (k+1)-core
-    if r == 0:
-        return ((beta_shape, beta_shape),)
-    out = []
+def _alive_blocks(beta_shape: tuple[int, ...], r: int, k: int):
+    """(gamma_shape, touched cells) of each r-block alive on the (k+1)-core beta, in order."""
     for letters in _block_letters(r, k):
         gamma = beta_shape
         touched: list[Cell] = []
@@ -278,10 +273,19 @@ def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
                 break
             touched.extend(cells)
         else:
-            rows = list(gamma)
-            for row, _ in touched:
-                rows[row] -= 1
-            out.append((gamma, tuple(v for v in rows if v > 0)))
+            yield gamma, touched
+
+
+@cache
+def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
+    """All (gamma_shape, rho) reachable from beta by one marked block of size r."""
+    Core(beta_shape, k)  # rejects a shape that is not a (k+1)-core
+    out = []
+    for gamma, touched in _alive_blocks(beta_shape, r, k):
+        rows = list(gamma)
+        for row, _ in touched:
+            rows[row] -= 1
+        out.append((gamma, tuple(v for v in rows if v > 0)))
     out.sort()
     return tuple(out)
 
@@ -385,6 +389,8 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 # step(shape, r, *args) gives the (shape', multiplicity) pairs one block of r
 # letters reaches.  Each tableau family has its own step, and sweep() serves
 # every column of every family: a column is the states after its weight.
+# The affine step counts the end cores of _alive_blocks, the walk the strip
+# transitions share, and marks no cells: a count never reads rho.
 # The same engine folds the images of the inhomogeneous conjugation, whose
 # step multiplies an h-term by the image of one generator.
 
@@ -392,9 +398,10 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tuple[int, ...], int]:
     """One sweep step: add a block of r letters to every counted shape."""
     nxt: dict[tuple[int, ...], int] = {}
+    get = nxt.get
     for shape, cnt in states.items():
         for gshape, mult in step(shape, r, *args):
-            nxt[gshape] = nxt.get(gshape, 0) + cnt * mult
+            nxt[gshape] = get(gshape, 0) + cnt * mult
     return nxt
 
 
@@ -434,8 +441,9 @@ def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
 @cache
 def _affine_steps(shape: tuple[int, ...], r: int, k: int):
     """(gamma, count) pairs: the affine set-valued r-strips on the core of the k-bounded shape."""
+    # bounded_to_core has checked the core, so the walk starts from it unchecked
     out: dict[tuple[int, ...], int] = {}
-    for gshape, _rho in _strip_transitions(bounded_to_core(shape, k).shape, r, k):
+    for gshape, _touched in _alive_blocks(bounded_to_core(shape, k).shape, r, k):
         gamma = core_to_bounded(gshape, k)
         out[gamma] = out.get(gamma, 0) + 1
     return tuple(out.items())

@@ -27,7 +27,6 @@ from kgroth.partitions import (
     contains,
     core_to_bounded,
     degree,
-    is_core,
     is_k_bounded,
     k_conjugate,
     partitions_of,
@@ -192,9 +191,22 @@ def corner_step_by_corners(shape: tuple[int, ...], k: int, i: int):
     return shape, tuple(c for c in removable_corners(shape) if residue(c, k) == i)
 
 
+def is_core_by_hooks(lam: tuple[int, ...], k: int) -> bool:
+    """True iff no cell of lam has hook length exactly k+1, every cell's hook computed."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    conj = conjugate(lam)
+    p = k + 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            if (row - j) + (conj[j] - i) - 1 == p:
+                return False
+    return True
+
+
 def core_to_bounded_by_hooks(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The k-bounded image: is_core first, then every cell's hook compared with k."""
-    if not is_core(shape, k):
+    """The k-bounded image: is_core_by_hooks first, then every cell's hook compared with k."""
+    if not is_core_by_hooks(shape, k):
         raise ValueError(f"{shape} is not a {k + 1}-core")
     conj = conjugate(shape)
     rows = []
@@ -345,7 +357,7 @@ def is_k_tableau(t: SetValuedFilling, k: int) -> bool:
     if any(entry.get((i, j + 1), v) < v or entry.get((i + 1, j), v + 1) <= v
            for (i, j), v in entry.items()):
         return False
-    if not is_core(t.shape, k):
+    if not is_core_by_hooks(t.shape, k):
         return False
     n = t.max_letter()
     if any(v == 0 for v in t.weight()):
@@ -387,7 +399,7 @@ def sv_strips_brute(beta: Core, r: int) -> list[tuple[tuple[int, ...], tuple[int
     b = beta.shape
     found = []
     for gamma_shape in _shapes_over(b, k):
-        if not is_core(gamma_shape, k):
+        if not is_core_by_hooks(gamma_shape, k):
             continue
         gamma = Core(gamma_shape, k)
         for removed in _subsets(removable_corners(b)):

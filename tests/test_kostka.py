@@ -5,6 +5,7 @@ import pytest
 
 import kgroth.kostka as kostka
 from kgroth import tableaux
+from kgroth.cli import main
 from kgroth.partitions import k_bounded_up_to
 
 from oracles import affine_column_by_weight
@@ -12,6 +13,12 @@ from oracles import affine_column_by_weight
 # SHA-256 of affine_kostka_k3_d8_v2.json as first written by the column-major
 # format; pins the file format
 K3_D8_FILE_SHA256 = "112a86b1ce5e95e3d00b5f4312fc2bea0db54af97adee21140edb307afc8d146"
+
+# SHA-256 of the file and of the JSON stdout of the k = 5, degree 13 writer
+# request, recorded when the build stepped each block through the sorted
+# (gamma, rho) strip transitions and each column was sorted as (index, count) pairs
+K5_D13_FILE_SHA256 = "56ed0140074aac0be07b2c207a8793718908feff877be2851f4d19a4c8445a77"
+K5_D13_WRITER_STDOUT_SHA256 = "f918955d30fe536c7643d07ce249394273face251cdbac2cd69cba2d14b5e0be"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -31,6 +38,16 @@ def test_cache_file_bytes_are_pinned(tmp_path, empty_kostka_cache):
         assert hashlib.sha256(fh.read()).hexdigest() == K3_D8_FILE_SHA256
     loaded = kostka._load(3, 8, str(tmp_path))
     assert loaded is not None and loaded.columns == matrix.columns
+
+
+def test_the_writer_request_bytes_are_pinned(tmp_path, capsys, empty_kostka_cache):
+    cache_dir = str(tmp_path / "D")
+    code = main(["expand", "--family", "Gk", "--partition", "5,3,1", "--k", "5",
+                 "--deg-max", "13", "--cache-dir", cache_dir, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == K5_D13_WRITER_STDOUT_SHA256
+    with open(kostka._cache_path(5, 13, cache_dir), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == K5_D13_FILE_SHA256
 
 
 def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch,

@@ -31,6 +31,7 @@ from oracles import (
     bounded_to_core_by_corners,
     core_to_bounded_by_hooks,
     corner_step_by_corners,
+    is_core_by_hooks,
     is_horizontal_strip,
     strip_transitions_by_corners,
 )
@@ -103,10 +104,25 @@ def all_cores(max_size: int, k: int):
 
 
 def test_check_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        check_partition((1, 2))
-    with pytest.raises(ValueError):
-        check_partition((2, 0))
+    # anything int() reads is a part, and every check keeps its message
+    assert check_partition(("2", 1)) == (2, 1)
+    assert check_partition((2.0,)) == (2,) and type(check_partition((2.0,))[0]) is int
+    assert check_partition(v for v in (3, 3, 1)) == (3, 3, 1)
+    assert check_partition(()) == ()
+    for parts, message in (
+        ((3, 0), "partition parts must be positive: (3, 0)"),
+        ((2, 0), "partition parts must be positive: (2, 0)"),
+        ((-1,), "partition parts must be positive: (-1,)"),
+        ((0, 1), "partition parts must be positive: (0, 1)"),
+        ((1, 2), "partition parts must weakly decrease: (1, 2)"),
+        ((3, 1, 2), "partition parts must weakly decrease: (3, 1, 2)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_partition(parts)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        check_partition(("a",))
+    with pytest.raises(TypeError):
+        check_partition((None,))
 
 
 def test_conjugate_examples():
@@ -146,6 +162,16 @@ def test_is_core_examples():
     assert is_core((6, 4, 3, 1, 1, 1), 4)
     assert is_core((3, 1, 1), 2)
     assert not is_core((2, 2), 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_is_core_matches_the_hook_scan(k):
+    # the 684 partitions of size <= 15, so 4,104 pairs over k = 1..6
+    shapes = [lam for n in range(16) for lam in partitions_of(n)]
+    assert len(shapes) == 684
+    verdicts = [is_core(lam, k) for lam in shapes]
+    assert verdicts == [is_core_by_hooks(lam, k) for lam in shapes]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_corners():

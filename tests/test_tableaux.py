@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     classical_sv_count,
     column_by_weight,
     compress_filling,
+    core_to_bounded_by_hooks,
     is_affine_strip,
     is_affine_sv_strip,
     is_k_tableau,
@@ -197,6 +199,16 @@ def test_strip_transitions_match_block_application(k):
         for r in range(k + 1):
             got = _strip_transitions(shape, r, k)
             assert got == strip_transitions_by_blocks(shape, r, k), (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_affine_steps_count_the_end_cores_of_block_application(k):
+    for lam in k_bounded_up_to(9, k):
+        shape = bounded_to_core(lam, k).shape
+        for r in range(k + 1):
+            ends = Counter(core_to_bounded_by_hooks(gamma, k)
+                           for gamma, _rho in strip_transitions_by_blocks(shape, r, k))
+            assert dict(tableaux._affine_steps(lam, r, k)) == ends, (lam, r)
 
 
 def test_every_enumerated_strip_passes_the_checker():
