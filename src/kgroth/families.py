@@ -43,15 +43,19 @@ from .tableaux import (
 # Writing h_mu = sum_lam (-1)^(|mu|-|lam|) K(lam, mu) g_lam for a family g,
 # with K(lam, mu) the tableau count of shape lam and weight mu, the h-expansion
 # of g_lam is the solution of that unitriangular system.  Solving against the
-# unsigned columns and signing the solution by degree parity is the same
-# thing: the signs are a diagonal change of basis on both sides.  The dual
-# family G_lam is the series of the same signed counts over the weights mu.
+# unsigned columns between two signings by degree parity is the same thing:
+# the signs are a diagonal change of basis on both sides.  Read forwards, the
+# same signed counts re-expand any f into the family (expand_in_family), and
+# the dual family G_lam is their series over the weights mu.
+
+
+def _signed(coeffs: dict) -> dict[tuple[int, ...], int]:
+    """The nonzero coefficients, each times (-1)^|mu| for its key mu."""
+    return {mu: -c if sum(mu) % 2 else c for mu, c in coeffs.items() if c}
 
 
 def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
-    n = degree(lam)
-    solved = solve_unitriangular({lam: 1}, column, h_order)
-    return SymFunc("h", {mu: -c if (n - degree(mu)) % 2 else c for mu, c in solved.items()})
+    return SymFunc("h", _signed(solve_unitriangular(_signed({lam: 1}), column, h_order)))
 
 
 def _series(lam: tuple[int, ...], deg_max: int, weights, column) -> dict:
@@ -221,28 +225,27 @@ def omega_big(f: SymFunc) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# triangular re-expansion into distinguished families
+# re-expansion into distinguished families
 
 
-def expand_in_family(f: SymFunc, family, index_sets) -> dict[tuple[int, ...], int]:
-    """Coefficients of f in a graded-unitriangular h-basis family.
+def expand_in_family(f: SymFunc, column, index_sets) -> dict[tuple[int, ...], int]:
+    """Coefficients of f in an h-side family, one signed product with its count columns.
 
-    family(mu) must have leading h-term at mu, same-degree keys dominating mu
-    and otherwise lower-degree keys; index_sets(d) lists the family indices of
-    degree d.  Solving top degree first, each degree in lex (a dominance
-    linear extension) ascending, makes the solve exact.
+    column(mu) is the count column {nu: K(nu, mu)} that defines the family,
+    as for _solve_h, and index_sets(d) lists the family indices of degree d.
+    Since h_mu = sum_nu (-1)^(|mu|-|nu|) K(nu, mu) g_nu, the coefficient of
+    g_nu is sum_mu (-1)^(|mu|-|nu|) K(nu, mu) f[mu] over the h-terms of f;
+    no family member is built.  The members span the h_mu with mu an index,
+    so any other h-term puts f outside the span.
     """
     work = convert(f, "h")
     if work.deg_max is not None:
         raise ValueError("re-expansion needs an exact h-expansion")
     members = {nu for d in range(work.max_degree() + 1) for nu in index_sets(d)}
-
-    def column(nu):
-        if nu not in members:
-            raise ValueError(f"element is not in the span of the family at degree {degree(nu)}")
-        return convert(family(nu), "h").coeffs
-
-    return solve_unitriangular(work.coeffs, column, h_order)
+    for mu in work.coeffs:
+        if mu not in members:
+            raise ValueError(f"element is not in the span of the family at degree {degree(mu)}")
+    return _signed(_linear(_signed(work.coeffs), column))
 
 
 def expand_in_dual_family(
@@ -252,14 +255,18 @@ def expand_in_dual_family(
 
     family(mu) must expand as m_mu plus dominance-smaller same-degree terms
     plus higher-degree terms.  Solving bottom degree first, each degree in lex
-    descending, gives coefficients exact up to deg_max.
+    descending, against the members' m-coefficients up to deg_max gives
+    coefficients exact up to deg_max.
     """
     members = {nu for d in range(deg_max + 1) for nu in index_sets(d)}
 
     def column(nu):
         if nu not in members:
             raise ValueError("element is not in the span of the family at this truncation")
-        return convert(family(nu), "m").truncate(deg_max).coeffs
+        member = convert(family(nu), "m")
+        if member.deg_max is not None and member.deg_max <= deg_max:
+            return member.coeffs
+        return {mu: c for mu, c in member.coeffs.items() if sum(mu) <= deg_max}
 
     return solve_unitriangular(convert(f, "m").truncate(deg_max).coeffs, column, m_order)
 
@@ -553,7 +560,7 @@ def scan_G_in_dualks(k: int, deg_max: int) -> dict:
 def scan_gk_in_g(k: int, deg_max: int) -> dict:
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
-        coeffs = expand_in_family(kkschur(lam, k), dual_grothendieck, partitions_of)
+        coeffs = expand_in_family(kkschur(lam, k), classical_kostka_column, partitions_of)
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     return _report("gk-in-g-positivity", k, deg_max, _entries(rows))
 
@@ -564,7 +571,7 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
     for lam in k_bounded_up_to(deg_max, k):
         coeffs = expand_in_family(
             kkschur(lam, k),
-            lambda mu: kkschur(mu, k + 1),
+            lambda mu: _column(mu, k + 1),
             lambda d: k_bounded_partitions(d, k + 1),
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))

@@ -108,17 +108,6 @@ def removable_corners(lam: tuple[int, ...]) -> list[Cell]:
     return out
 
 
-def add_cells(lam: tuple[int, ...], new: list[Cell]) -> tuple[int, ...]:
-    rows = list(lam)
-    for i, j in sorted(new):
-        if i == len(rows):
-            rows.append(0)
-        if j != rows[i]:
-            raise ValueError(f"cannot add cell ({i},{j}) to {lam}")
-        rows[i] += 1
-    return check_partition(rows)
-
-
 def skew_cells(gamma: tuple[int, ...], rho: tuple[int, ...]) -> list[Cell]:
     """Cells of gamma/rho; rho must be contained in gamma."""
     if not contains(gamma, rho):
@@ -199,7 +188,11 @@ def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...
     if -n % p == i:
         added.append((n, 0))
     if added:
-        return add_cells(shape, added), tuple(added)
+        # distinct addable corners, at most one per row: each grows its row by one
+        rows = [*shape, 0]
+        for r, _ in added:
+            rows[r] += 1
+        return tuple(filter(None, rows)), tuple(added)
     return shape, tuple((r, c - 1) for r, c in enumerate(shape)
                         if (c - 1 - r) % p == i and (r == n - 1 or shape[r + 1] < c))
 
@@ -298,9 +291,13 @@ def residue_word(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     The rightmost letter corresponds to the cell (0,0) and is applied first
     when the word is evaluated.
     """
-    letters = []
+    # row i reads the residues descending from that of its last cell, a slice
+    # of the descending cycle k, k-1, ..., 0, k, ... long enough for any row
+    cycle = tuple(range(k, -1, -1)) * (max(lam, default=0) // (k + 1) + 2)
+    letters: list[int] = []
     for i in range(len(lam) - 1, -1, -1):
-        letters.extend(residue((i, j), k) for j in range(lam[i] - 1, -1, -1))
+        start = k - (lam[i] - 1 - i) % (k + 1)
+        letters += cycle[start:start + lam[i]]
     return tuple(letters)
 
 

@@ -13,6 +13,7 @@ from collections import Counter
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, factorial
+from operator import neg
 
 from .partitions import Record, _set, check_partition, conjugate, degree, dominates, partitions_of
 from .tableaux import _horizontal_strips, sweep
@@ -306,7 +307,7 @@ def h_order(lam: tuple[int, ...]):
 
 def m_order(lam: tuple[int, ...]):
     """Solve order of m-side systems: bottom degree first, lex descending within."""
-    return (sum(lam), tuple(-p for p in lam))
+    return (sum(lam), tuple(map(neg, lam)))
 
 
 def solve_unitriangular(target: dict, column, order) -> dict:

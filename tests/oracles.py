@@ -21,7 +21,6 @@ from kgroth.partitions import (
     Core,
     Record,
     _set,
-    add_cells,
     check_partition,
     conjugate,
     contains,
@@ -180,6 +179,18 @@ def addable_corners(lam: tuple[int, ...]) -> list[Cell]:
             out.append((i, lam[i]))
     out.append((len(lam), 0))
     return out
+
+
+def add_cells(lam: tuple[int, ...], new) -> tuple[int, ...]:
+    """lam with the cells new added, each at the end of its row, in row order."""
+    rows = list(lam)
+    for i, j in sorted(new):
+        if i == len(rows):
+            rows.append(0)
+        if j != rows[i]:
+            raise ValueError(f"cannot add cell ({i},{j}) to {lam}")
+        rows[i] += 1
+    return check_partition(rows)
 
 
 def corner_step_by_corners(shape: tuple[int, ...], k: int, i: int):
@@ -744,3 +755,31 @@ def omega_big_oracle(lam):
     for r in lam:
         image = image * SymFunc("e", {(j,): comb(r - 1, j - 1) for j in range(1, r + 1)})
     return convert(image, "h")
+
+
+# ---------------------------------------------------------------------------
+# re-expansion into a family by a solve against its members
+
+
+def expand_in_family_by_solve(f, family, index_sets) -> dict[tuple[int, ...], int]:
+    """Coefficients of f in a graded-unitriangular h-basis family, solved against the members.
+
+    family(mu) must have leading h-term at mu, same-degree keys dominating mu
+    and otherwise lower-degree keys; index_sets(d) lists the family indices of
+    degree d.  Solving top degree first, each degree in lex (a dominance
+    linear extension) ascending, makes the solve exact.  The package instead
+    multiplies f by the signed counts that define the family.
+    """
+    from kgroth.symfunc import convert, h_order, solve_unitriangular
+
+    work = convert(f, "h")
+    if work.deg_max is not None:
+        raise ValueError("re-expansion needs an exact h-expansion")
+    members = {nu for d in range(work.max_degree() + 1) for nu in index_sets(d)}
+
+    def column(nu):
+        if nu not in members:
+            raise ValueError(f"element is not in the span of the family at degree {degree(nu)}")
+        return convert(family(nu), "h").coeffs
+
+    return solve_unitriangular(work.coeffs, column, h_order)

@@ -33,9 +33,10 @@ from kgroth.partitions import (
 )
 from kgroth.schemas import SCAN_REPORT_SCHEMA
 from kgroth.symfunc import SymFunc, binomial, convert, e, h, hall_inner, m, s
+from kgroth.tableaux import classical_kostka_column, kostka_column
 
 from known_values import COL_PIERI_321_R2_K3, ROW_PIERI_321_R2_K3
-from oracles import omega_big_oracle
+from oracles import expand_in_family_by_solve, omega_big_oracle
 
 
 def test_dual_grothendieck_rows_are_complete_generators():
@@ -200,9 +201,28 @@ def test_newton_identities():
 def test_expand_in_kkschur_roundtrip():
     k = 3
     f = h((2,)) * kkschur((3, 2, 1), k)
-    family, index_sets = (lambda mu: kkschur(mu, k)), (lambda d: k_bounded_partitions(d, k))
-    assert expand_in_family(f, family, index_sets) == ROW_PIERI_321_R2_K3
-    assert expand_in_family(kkschur((2, 1), k), family, index_sets) == {(2, 1): 1}
+    column, index_sets = (lambda mu: kostka_column(mu, k)), (lambda d: k_bounded_partitions(d, k))
+    assert expand_in_family(f, column, index_sets) == ROW_PIERI_321_R2_K3
+    assert expand_in_family(kkschur((2, 1), k), column, index_sets) == {(2, 1): 1}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_expand_in_g_matches_the_solve_against_members(k):
+    for lam in k_bounded_up_to(7, k):
+        f = kkschur(lam, k)
+        assert (expand_in_family(f, classical_kostka_column, partitions_of)
+                == expand_in_family_by_solve(f, dual_grothendieck, partitions_of)), lam
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_expand_in_the_next_level_matches_the_solve_against_members(k):
+    def index_sets(d):
+        return k_bounded_partitions(d, k + 1)
+
+    for lam in k_bounded_up_to(7, k):
+        f = kkschur(lam, k)
+        assert (expand_in_family(f, lambda mu: kostka_column(mu, k + 1), index_sets)
+                == expand_in_family_by_solve(f, lambda mu: kkschur(mu, k + 1), index_sets)), lam
 
 
 def test_expand_in_family_rejects_outsiders():
@@ -212,13 +232,23 @@ def test_expand_in_family_rejects_outsiders():
         )
 
 
+def test_expand_in_family_rejects_outsiders_whose_columns_exist():
+    # the classical columns are defined at (3,), but (3,) indexes no 2-bounded member
+    for f in (h((3,)), h((3,)) + h((2, 1))):
+        with pytest.raises(ValueError):
+            expand_in_family(f, classical_kostka_column, lambda d: k_bounded_partitions(d, 2))
+
+
 def test_expand_in_dual_family_roundtrip():
     k = 2
     f = affine_grothendieck((2, 1), k, 5)
-    coeffs = expand_in_dual_family(
-        f, lambda mu: affine_grothendieck(mu, k, 5), lambda d: k_bounded_partitions(d, k), 5
-    )
-    assert coeffs == {(2, 1): 1}
+    # members truncated at the same degree, and members that reach past it
+    for member_deg in (5, 7):
+        coeffs = expand_in_dual_family(
+            f, lambda mu: affine_grothendieck(mu, k, member_deg),
+            lambda d: k_bounded_partitions(d, k), 5,
+        )
+        assert coeffs == {(2, 1): 1}, member_deg
 
 
 def test_expand_in_dual_family_rejects_outsiders():

@@ -7,7 +7,6 @@ from kgroth import families, kostka, tableaux, words
 from kgroth.partitions import (
     Core,
     _corner_step,
-    add_cells,
     bounded_to_core,
     check_bounded,
     check_composition,
@@ -24,9 +23,11 @@ from kgroth.partitions import (
     partitions_of,
     removable_corners,
     residue,
+    residue_word,
 )
 from kgroth.tableaux import _strip_transitions
 from oracles import (
+    add_cells,
     addable_corners,
     bounded_to_core_by_corners,
     core_to_bounded_by_hooks,
@@ -287,6 +288,13 @@ def test_conversions_and_strip_steps_match_the_corner_list_oracles(k, deg_max):
         for r in range(k + 1):
             assert (_strip_transitions(core.shape, r, k)
                     == strip_transitions_by_corners(core.shape, r, k)), (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_residue_word_reads_each_cell_residue(k):
+    for lam in (lam for n in range(9) for lam in partitions_of(n)):
+        cells = [(i, j) for i in range(len(lam) - 1, -1, -1) for j in range(lam[i] - 1, -1, -1)]
+        assert residue_word(lam, k) == tuple(residue(c, k) for c in cells), lam
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
