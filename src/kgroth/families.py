@@ -459,30 +459,33 @@ def verify_kostka_symmetry(k: int, deg_max: int) -> CheckResult:
 
 
 def verify_bijection(k: int, deg_max: int) -> CheckResult:
-    """Chain, factorization and direct-definition enumerations coincide."""
-    from itertools import product as iproduct
+    """Chains, the DP count, factorizations and direct fillings give the same tableaux.
+
+    A direct filling is an alive word's, checked standard letter by letter; it
+    takes a weight when each of the weight's blocks is in its valid_blocks table.
+    """
+    from itertools import accumulate
 
     from .partitions import core_to_bounded
-    from .tableaux import enumerate_tableaux, fits_affine_sv_blocks, is_standard_affine_sv
-    from .words import DeadWordError, ResidueWord, factorizations_by_shape, standard_tableau_of_word
+    from .tableaux import enumerate_tableaux, is_standard_affine_sv, valid_blocks
+    from .words import alive_words, factorizations_by_shape, standard_tableau_of_word
 
     res = CheckResult("bijection", {"k": k, "deg_max": deg_max})
     for n in range(deg_max + 1):
-        # the (bounded shape, standard filling) pair of every alive word of length n;
-        # standardness does not depend on the weight, so it is checked once per word
+        # the bounded shape, standard filling and valid blocks of every alive word
+        # of length n; none depends on the weight, so each is found once per word
         alive = []
-        for letters in iproduct(range(k + 1), repeat=n):
-            try:
-                t = standard_tableau_of_word(ResidueWord(letters, k))
-            except DeadWordError:
-                continue
+        for word in alive_words(n, k):
+            t = standard_tableau_of_word(word)
             if is_standard_affine_sv(t, k):
-                alive.append((core_to_bounded(t.shape, k), t))
+                alive.append((core_to_bounded(t.shape, k), t, valid_blocks(t, k)))
         for alpha in [a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)]:
+            ends = list(accumulate(alpha, initial=1))
+            blocks = set(zip(ends, ends[1:]))
             factorizations = factorizations_by_shape(alpha, k)
             fillings_by_shape: dict[tuple[int, ...], set] = {}
-            for lam, t in alive:
-                if fits_affine_sv_blocks(t, alpha, k):
+            for lam, t, table in alive:
+                if blocks <= table:
                     fillings_by_shape.setdefault(lam, set()).add(t)
             for lam in k_bounded_up_to(n, k):
                 direct = fillings_by_shape.get(lam, set())

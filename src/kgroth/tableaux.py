@@ -1,9 +1,9 @@
 """Set-valued fillings, affine set-valued strip transitions, strip chains and counting.
 
 Affine set-valued tableaux are built as chains of affine set-valued strips,
-which also serve every count.  The standard and weight conditions of the
-definition are checked literally on fillings, for the bijection suite to
-compare the chains against.  The strip sets are produced by applying
+which also serve every count.  For the bijection suite, a filling's standard
+condition is checked literally and its weight conditions are read as one
+table of valid letter blocks.  The strip sets are produced by applying
 cyclically decreasing blocks of marked letters, one subset of residues per
 block: each block's letters, cached per block size, step the shape tuple
 through partitions._corner_step, the letter rule that Core.act wraps.
@@ -200,43 +200,24 @@ def is_standard_affine_sv(t: SetValuedFilling, k: int) -> bool:
     return True
 
 
-def alphabet_blocks(alpha) -> list[range]:
-    """Consecutive letter intervals of sizes alpha (zero parts skipped)."""
-    blocks = []
-    lo = 1
-    for a in alpha:
-        a = int(a)
-        if a < 0:
-            raise ValueError(f"negative part in composition {alpha}")
-        blocks.append(range(lo, lo + a))
-        lo += a
-    return [b for b in blocks if len(b)]
+def valid_blocks(t: SetValuedFilling, k: int) -> set[tuple[int, int]]:
+    """The letter intervals [a, b) of t that a weight may take as one block.
 
-
-def fits_affine_sv_blocks(t: SetValuedFilling, alpha, k: int) -> bool:
-    """The conditions that weight alpha adds to the standard ones.
-
-    Each block of letters holds at most k letters, read in increasing order
-    by the lowest reading word, on distinct residues and in distinct columns;
-    the blocks use up the letters of t.
+    An interval qualifies when it holds at most k letters, read in increasing
+    order by the lowest reading word, on distinct residues and in distinct
+    columns.  A composition of a standard t's letters is a weight of t exactly
+    when each of its blocks is in this table.
     """
-    blocks = alphabet_blocks(alpha)
-    n = sum(len(b) for b in blocks)
-    if any(len(b) > k for b in blocks):
-        return False
-    if t.max_letter() != n:
-        return False
-    for block in blocks:
-        word = lowest_reading_word(t, block)
-        if list(word) != sorted(word):
-            return False
-        spots = t.cells_with(block)
-        if len({residue(c, k) for c in spots}) != len(block):
-            return False
-        cols = [c[1] for c in spots]
-        if len(cols) != len(set(cols)):
-            return False
-    return True
+    n = t.max_letter()
+    table = set()
+    for a in range(1, n + 1):
+        for b in range(a + 1, min(a + k, n + 1) + 1):
+            word = lowest_reading_word(t, range(a, b))
+            spots = t.cells_with(range(a, b))
+            if (list(word) == sorted(word) and len({residue(c, k) for c in spots}) == b - a
+                    and len({c[1] for c in spots}) == len(spots)):
+                table.add((a, b))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .partitions import (
     Core,
     Cell,
     Record,
+    _corner_step,
     _set,
     check_bounded,
     check_composition,
@@ -86,6 +87,20 @@ def evaluate(word: ResidueWord) -> Core:
     for _, core, _ in evaluate_steps(word):
         pass
     return core
+
+
+def alive_words(n: int, k: int) -> list[ResidueWord]:
+    """Every word of length n alive on the empty core, by a walk over its letters.
+
+    Each letter steps each alive prefix's shape through _corner_step (the rule
+    Core.act wraps); a letter that touches no cell is dead and drops the prefix.
+    """
+    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for _ in range(n):
+        steps = ((applied + (i,), _corner_step(shape, k, i))
+                 for applied, shape in level for i in range(k + 1))
+        level = [(applied, after) for applied, (after, touched) in steps if touched]
+    return [ResidueWord(applied[::-1], k) for applied, _ in level]
 
 
 def standard_tableau_of_word(word: ResidueWord):

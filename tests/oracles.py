@@ -2,12 +2,14 @@
 
 The point is to recompute answers by a different route.  The literal
 checkers of the strip, chain and k-tableau definitions live here, not in
-the package.  From the package this takes plain shape and core helpers,
-the SetValuedFilling record, tableaux.gamma_blocked (the one strip
-condition the classical count shares), cyclically_decreasing_word, and
-words.apply_block, the letter-by-letter block application that the cached
-strip transitions are compared with.  The few symfunc names used are
-imported inside the functions that use them.
+the package, and so does the whole weight check of an affine set-valued
+tableau, which the bijection suite reads as a table of valid blocks.
+From the package this takes plain shape and core helpers, the
+SetValuedFilling record, tableaux.gamma_blocked (the one strip condition
+the classical count shares), tableaux.lowest_reading_word,
+cyclically_decreasing_word, and words.apply_block, the letter-by-letter
+block application that the cached strip transitions are compared with.
+The few symfunc names used are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from kgroth.partitions import (
     residue_word,
     skew_cells,
 )
-from kgroth.tableaux import SetValuedFilling, gamma_blocked
+from kgroth.tableaux import SetValuedFilling, gamma_blocked, lowest_reading_word
 from kgroth.words import DeadWordError, ResidueWord, apply_block, cyclically_decreasing_word
 
 
@@ -384,6 +386,45 @@ def k_tableau_weight(t: SetValuedFilling, k: int) -> tuple[int, ...]:
     return tuple(
         len({residue(c, k) for c in t.cells_with([x])}) for x in range(1, t.max_letter() + 1)
     )
+
+
+def alphabet_blocks(alpha) -> list[range]:
+    """Consecutive letter intervals of sizes alpha (zero parts skipped)."""
+    blocks = []
+    lo = 1
+    for a in alpha:
+        a = int(a)
+        if a < 0:
+            raise ValueError(f"negative part in composition {alpha}")
+        blocks.append(range(lo, lo + a))
+        lo += a
+    return [b for b in blocks if len(b)]
+
+
+def fits_affine_sv_blocks(t: SetValuedFilling, alpha, k: int) -> bool:
+    """The conditions that weight alpha adds to the standard ones.
+
+    Each block of letters holds at most k letters, read in increasing order
+    by the lowest reading word, on distinct residues and in distinct columns;
+    the blocks use up the letters of t.
+    """
+    blocks = alphabet_blocks(alpha)
+    n = sum(len(b) for b in blocks)
+    if any(len(b) > k for b in blocks):
+        return False
+    if t.max_letter() != n:
+        return False
+    for block in blocks:
+        word = lowest_reading_word(t, block)
+        if list(word) != sorted(word):
+            return False
+        spots = t.cells_with(block)
+        if len({residue(c, k) for c in spots}) != len(block):
+            return False
+        cols = [c[1] for c in spots]
+        if len(cols) != len(set(cols)):
+            return False
+    return True
 
 
 def compress_filling(t: SetValuedFilling, alpha) -> SetValuedFilling:

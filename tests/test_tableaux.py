@@ -1,17 +1,16 @@
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 import kgroth.tableaux as tableaux
-from kgroth.partitions import Core, bounded_to_core, degree, k_bounded_up_to
+from kgroth.partitions import Core, bounded_to_core, degree, k_bounded_up_to, partitions_of
 from kgroth.symfunc import _h_in_s, _s_in_m, distinct_permutations
 from kgroth.tableaux import (
     SetValuedFilling,
     _classical_sv_transitions,
     _horizontal_strips,
     _strip_transitions,
-    alphabet_blocks,
     classical_kostka_column,
     count_classical_kostka,
     count_kostka,
@@ -19,15 +18,15 @@ from kgroth.tableaux import (
     enumerate_sv_strips,
     enumerate_sv_strips_vertical,
     enumerate_tableaux,
-    fits_affine_sv_blocks,
     is_classical_set_valued,
     is_standard_affine_sv,
     kostka_column,
     lowest_reading_word,
     shape_of_cells,
     sweep,
+    valid_blocks,
 )
-from kgroth.words import ResidueWord, standard_tableau_of_word
+from kgroth.words import DeadWordError, ResidueWord, alive_words, standard_tableau_of_word
 
 from known_values import (
     DOCUMENTED_READING_WORDS,
@@ -42,11 +41,14 @@ from known_values import (
 from oracles import (
     AffineSVStrip,
     affine_column_by_weight,
+    alphabet_blocks,
     chain_is_valid,
     classical_sv_count,
+    classical_sv_fillings,
     column_by_weight,
     compress_filling,
     core_to_bounded_by_hooks,
+    fits_affine_sv_blocks,
     is_affine_strip,
     is_affine_sv_strip,
     is_k_tableau,
@@ -65,7 +67,7 @@ def all_standard_fillings(n, k):
         word = ResidueWord(letters, k)
         try:
             out.append(standard_tableau_of_word(word))
-        except Exception:
+        except DeadWordError:
             continue
     return out
 
@@ -132,6 +134,52 @@ def test_standard_enumeration_matches_words():
     assert set(on_shape) == expected
     for t in fillings:
         assert is_standard_affine_sv(t, 2)
+
+
+# every (k, n) with k = 2..4 and n <= 6; the walk and the block table add n = 7
+SMALL_SIZES = [(k, n) for k in (2, 3, 4) for n in range(7)]
+
+
+def test_alive_words_are_the_words_that_survive_evaluation():
+    """The walk finds the words that evaluating all (k+1)^n words keeps.
+
+    A filling records the residue of each letter, so equal multisets of
+    fillings mean equal sets of words.
+    """
+    for k, n in SMALL_SIZES + [(2, 7), (3, 7)]:
+        walked = [standard_tableau_of_word(word) for word in alive_words(n, k)]
+        assert Counter(walked) == Counter(all_standard_fillings(n, k)), (k, n)
+        assert all(is_standard_affine_sv(t, k) for t in walked), (k, n)
+
+
+def assert_blocks_decide_as_the_literal_check(t, k):
+    """Each composition of t's letters, parts above k too, fits t by the table as by the literal check."""
+    table = valid_blocks(t, k)
+    for mu in partitions_of(t.max_letter()):
+        for alpha in distinct_permutations(mu):
+            ends = list(accumulate(alpha, initial=1))
+            fits = set(zip(ends, ends[1:])) <= table
+            assert fits == fits_affine_sv_blocks(t, alpha, k), (t.cells, k, alpha)
+
+
+def test_valid_blocks_decide_each_weight_as_the_literal_check():
+    """A composition fits an alive filling exactly when each of its blocks is valid."""
+    for k, n in SMALL_SIZES + [(2, 7)]:
+        for word in alive_words(n, k):
+            assert_blocks_decide_as_the_literal_check(standard_tableau_of_word(word), k)
+
+
+def test_valid_blocks_match_the_literal_check_off_standard_fillings():
+    """The same verdicts on every semistandard set-valued filling of at most 5 letters.
+
+    On standard fillings the other conditions imply the residue and size
+    conditions at the sizes tried, so only these fillings pin them.
+    """
+    for total in range(1, 6):
+        for shape in [mu for size in range(1, total + 1) for mu in partitions_of(size)]:
+            for t in classical_sv_fillings(shape, total):
+                for k in (1, 2, 3):
+                    assert_blocks_decide_as_the_literal_check(t, k)
 
 
 def test_weighted_membership():
