@@ -176,8 +176,9 @@ def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...
     Adds every addable i-corner when there is one; otherwise the shape stays
     and its removable i-corners are marked.  No touched cell means there is
     neither kind of i-corner: the letter is dead on this core.  Cells come
-    bottom row first.  This is the one letter rule; Core.act wraps it, and
-    bounded_to_core and the strip transitions step through it directly.
+    bottom row first.  This is the one letter rule: bounded_to_core, word
+    evaluation and the block walk behind the strip transitions and the
+    factorizations all step shape tuples through it.
     """
     p = k + 1
     i %= p
@@ -218,18 +219,6 @@ class Core(Record):
             shape = _check_core(shape, k)
         _set(self, "shape", shape)
         _set(self, "k", k)
-
-    def act(self, i: int) -> tuple["Core", tuple[Cell, ...]]:
-        """The corner step of letter i: the core after it and the cells it touches.
-
-        See _corner_step; the core itself comes back when the letter adds
-        nothing.
-        """
-        shape, touched = _corner_step(self.shape, self.k, i)
-        # the cached result may hold an equal but different tuple
-        if shape == self.shape:
-            return self, touched
-        return Core(shape, self.k), touched
 
     def to_bounded(self) -> tuple[int, ...]:
         """The bijection onto k-bounded partitions: delete all hooks above k."""

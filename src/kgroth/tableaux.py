@@ -5,22 +5,20 @@ which also serve every count.  For the bijection suite, a filling's standard
 condition is checked literally and its weight conditions are read as one
 table of valid letter blocks.  The strip sets are produced by applying
 cyclically decreasing blocks of marked letters, one subset of residues per
-block: each block's letters, cached per block size, step the shape tuple
-through partitions._corner_step, the letter rule that Core.act wraps.
+block, through words._alive_blocks, the one block walk: each block's
+letters step the shape tuple through partitions._corner_step.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache
-from itertools import combinations
 from math import comb
 
 from .partitions import (
     Cell,
     Core,
     Record,
-    _corner_step,
     _set,
     bounded_to_core,
     check_bounded,
@@ -35,7 +33,7 @@ from .partitions import (
     residue,
     skew_cells,
 )
-from .words import cyclically_decreasing_word
+from .words import _alive_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +229,11 @@ def gamma_blocked(cell: Cell, gamma: tuple[int, ...]) -> bool:
 
 
 @cache
-def _block_letters(r: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The letters of the block on every r-subset of [0, k], in evaluation order.
-
-    Subsets come in combinations order; each block's letters are those of
-    its cyclically decreasing word, rightmost first.
-    """
-    return tuple(
-        cyclically_decreasing_word(subset, k).letters[::-1]
-        for subset in combinations(range(k + 1), r)
-    )
-
-
-def _alive_blocks(beta_shape: tuple[int, ...], r: int, k: int):
-    """(gamma_shape, touched cells) of each r-block alive on the (k+1)-core beta, in order."""
-    for letters in _block_letters(r, k):
-        gamma = beta_shape
-        touched: list[Cell] = []
-        for i in letters:
-            gamma, cells = _corner_step(gamma, k, i)
-            if not cells:
-                break
-            touched.extend(cells)
-        else:
-            yield gamma, touched
-
-
-@cache
 def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
     """All (gamma_shape, rho) reachable from beta by one marked block of size r."""
     Core(beta_shape, k)  # rejects a shape that is not a (k+1)-core
     out = []
-    for gamma, touched in _alive_blocks(beta_shape, r, k):
+    for gamma, touched, _ in _alive_blocks(beta_shape, r, k):
         rows = list(gamma)
         for row, _ in touched:
             rows[row] -= 1
@@ -318,19 +289,15 @@ class StripChain(Record):
         cellmap: dict[Cell, set[int]] = {}
         prefix = 0
         for (gshape, rho), a in zip(self.steps, sizes):
-            strip = skew_cells(gshape, rho)
-            unfilled = set(strip)
-            letter = prefix + a
-            while unfilled:
-                cell = max(unfilled, key=lambda c: c[1])
-                i = residue(cell, self.k)
-                for c in strip:
-                    if residue(c, self.k) == i:
-                        cellmap.setdefault(c, set()).add(letter)
-                        unfilled.discard(c)
-                letter -= 1
-            if letter != prefix:
+            # the strip's cells by residue, in order of their rightmost column
+            groups: dict[int, list[Cell]] = {}
+            for cell in sorted(skew_cells(gshape, rho), key=lambda c: -c[1]):
+                groups.setdefault(residue(cell, self.k), []).append(cell)
+            if len(groups) != a:
                 raise ValueError("strip does not carry exactly its weight in residues")
+            for letter, cells in zip(range(prefix + a, prefix, -1), groups.values()):
+                for c in cells:
+                    cellmap.setdefault(c, set()).add(letter)
             prefix += a
         shape = self.final_shape()
         return SetValuedFilling(shape, {c: frozenset(v) for c, v in cellmap.items()})
@@ -424,7 +391,7 @@ def _affine_steps(shape: tuple[int, ...], r: int, k: int):
     """(gamma, count) pairs: the affine set-valued r-strips on the core of the k-bounded shape."""
     # bounded_to_core has checked the core, so the walk starts from it unchecked
     out: dict[tuple[int, ...], int] = {}
-    for gshape, _touched in _alive_blocks(bounded_to_core(shape, k).shape, r, k):
+    for gshape, _, _ in _alive_blocks(bounded_to_core(shape, k).shape, r, k):
         gamma = core_to_bounded(gshape, k)
         out[gamma] = out.get(gamma, 0) + 1
     return tuple(out.items())
@@ -461,51 +428,40 @@ def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
 # classical (large-k) counterparts ------------------------------------------
 
 
-def _horizontal_extensions(beta: tuple[int, ...], max_new: int):
-    """All gamma >= beta with gamma/beta a horizontal strip of <= max_new cells."""
+@cache
+def _horizontal_strips(beta: tuple[int, ...], r: int):
+    """(gamma, 1) pairs, gamma increasing: gamma/beta a horizontal strip of exactly r cells."""
     rows = len(beta)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, used: int, acc: tuple[int, ...]):
+    out = []
+    # an explicit stack; row i grows by at most the overhang of row i-1 (row 0
+    # freely), and the cells left over open a row no longer than beta's last
+    stack = [(0, r, ())]
+    while stack:
+        i, left, acc = stack.pop()
         if i == rows:
-            out.append(acc)
-            top = beta[rows - 1] if rows else max_new
-            for extra in range(1, min(max_new - used, top) + 1):
-                out.append(acc + (extra,))
-            return
-        hi = beta[i - 1] if i > 0 else beta[0] + (max_new - used)
-        for v in range(beta[i], min(hi, beta[i] + max_new - used) + 1):
-            rec(i + 1, used + v - beta[i], acc + (v,))
-
-    if rows == 0:
-        out.append(())
-        out.extend((m,) for m in range(1, max_new + 1))
-    else:
-        rec(0, 0, ())
-    return out
+            if not left:
+                out.append((acc, 1))
+            elif left <= (beta[-1] if beta else r):
+                out.append((acc + (left,), 1))
+            continue
+        room = left if i == 0 else min(left, beta[i - 1] - beta[i])
+        # the smallest growth is pushed last and so comes out first
+        stack.extend((i + 1, left - g, acc + (beta[i] + g,)) for g in range(room, -1, -1))
+    return tuple(out)
 
 
 @cache
 def _classical_sv_transitions(beta: tuple[int, ...], r: int):
     """(gamma, multiplicity) pairs for one classical set-valued r-strip."""
+    corners = removable_corners(beta)
     out = []
-    for gamma in _horizontal_extensions(beta, r):
-        new = degree(gamma) - degree(beta)
-        free = sum(
-            1 for c in removable_corners(beta) if not gamma_blocked(c, gamma)
-        )
-        mult = comb(free, r - new) if r - new >= 0 else 0
-        if mult:
-            out.append((gamma, mult))
+    for new in range(r + 1):
+        for gamma, _ in _horizontal_strips(beta, new):
+            mult = comb(sum(1 for c in corners if not gamma_blocked(c, gamma)), r - new)
+            if mult:
+                out.append((gamma, mult))
     out.sort()
     return tuple(out)
-
-
-@cache
-def _horizontal_strips(beta: tuple[int, ...], r: int):
-    """(gamma, 1) pairs: gamma/beta a horizontal strip of exactly r cells."""
-    n = degree(beta) + r
-    return tuple((gamma, 1) for gamma in _horizontal_extensions(beta, r) if degree(gamma) == n)
 
 
 # a public count and a traced name, so it stays a read of its column

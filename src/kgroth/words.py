@@ -3,11 +3,14 @@
 A word is a finite sequence of residues in [0, k].  Words are stored in
 display order: the rightmost letter acts first when the word is evaluated
 on the empty core, matching the convention that reduced words are read
-off a shape from the top row down, right to left.
+off a shape from the top row down, right to left.  Every walk here steps
+plain shape tuples through partitions._corner_step, the one letter rule; a
+Core is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .partitions import (
@@ -18,6 +21,7 @@ from .partitions import (
     _set,
     check_bounded,
     check_composition,
+    core_to_bounded,
     residue_word,
 )
 
@@ -61,39 +65,37 @@ def word_of_partition(lam, k: int) -> ResidueWord:
     return ResidueWord(residue_word(lam, k), k)
 
 
-def evaluate_steps(word: ResidueWord, core: Core | None = None):
-    """Yield (letter, core_after, cells_receiving_letter) per evaluation step.
+def evaluate_steps(word: ResidueWord, shape: tuple[int, ...] = ()):
+    """Yield (shape_after, cells_receiving_letter) per evaluation step.
 
-    Starts from core, the empty core by default.  Each step is Core.act: it
-    either adds all addable i-corners (the new cells receive the letter) or,
-    failing that, marks all removable i-corners.  If neither kind of corner
-    exists the word is dead.
+    Starts from the (k+1)-core shape, the empty core by default.  Each step
+    is _corner_step: it either adds all addable i-corners (the new cells
+    receive the letter) or, failing that, marks all removable i-corners.  If
+    neither kind of corner exists the word is dead.
     """
-    if core is None:
-        core = Core((), word.k)
     for pos, i in enumerate(reversed(word.letters)):
-        after, touched = core.act(i)
+        after, touched = _corner_step(shape, word.k, i)
         if not touched:
             raise DeadWordError(
-                f"letter {i} at step {pos + 1} of {word}: no addable or removable {i}-corner on {core.shape}"
+                f"letter {i} at step {pos + 1} of {word}: no addable or removable {i}-corner on {shape}"
             )
-        core = after
-        yield i, core, touched
+        shape = after
+        yield shape, touched
 
 
 def evaluate(word: ResidueWord) -> Core:
     """Apply the corner-adding operators rightmost letter first to the empty core."""
-    core = Core((), word.k)
-    for _, core, _ in evaluate_steps(word):
+    shape: tuple[int, ...] = ()
+    for shape, _ in evaluate_steps(word):
         pass
-    return core
+    return Core(shape, word.k)
 
 
 def alive_words(n: int, k: int) -> list[ResidueWord]:
     """Every word of length n alive on the empty core, by a walk over its letters.
 
-    Each letter steps each alive prefix's shape through _corner_step (the rule
-    Core.act wraps); a letter that touches no cell is dead and drops the prefix.
+    Each letter steps each alive prefix's shape through _corner_step; a letter
+    that touches no cell is dead and drops the prefix.
     """
     level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for _ in range(n):
@@ -113,8 +115,7 @@ def standard_tableau_of_word(word: ResidueWord):
 
     cellmap: dict[Cell, set[int]] = {}
     shape: tuple[int, ...] = ()
-    for x, (_, core, touched) in enumerate(evaluate_steps(word), start=1):
-        shape = core.shape
+    for x, (shape, touched) in enumerate(evaluate_steps(word), start=1):
         for c in touched:
             cellmap.setdefault(c, set()).add(x)
     return SetValuedFilling(shape, {c: frozenset(s) for c, s in cellmap.items()})
@@ -128,8 +129,12 @@ def cyclically_decreasing_word(residues, k: int) -> ResidueWord:
     other admissible order differs only by commutations.
     """
     p = k + 1
-    s = set(int(v) % p for v in residues)
-    if len(s) != len(tuple(residues)):
+    residues = tuple(int(v) for v in residues)
+    for v in residues:
+        if not 0 <= v <= k:
+            raise ValueError(f"residue {v} does not lie in [0, {k}]")
+    s = set(residues)
+    if len(s) != len(residues):
         raise ValueError(f"residues must be distinct: {residues}")
     if len(s) == p:
         raise ValueError("a cyclically decreasing word uses a proper subset of residues")
@@ -148,12 +153,44 @@ def apply_block(core: Core, residues) -> tuple[Core, tuple[Cell, ...]]:
 
     Returns the new core together with every cell the block's letter landed
     in (new cells for addable steps, existing corners for removable steps).
-    Raises DeadWordError when some letter finds no corner.
+    Raises DeadWordError when some letter finds no corner.  Each letter
+    steps on its own, so this is the reference the block walk is checked by.
     """
+    shape = core.shape
     touched: list[Cell] = []
-    for _, core, cells in evaluate_steps(cyclically_decreasing_word(residues, core.k), core):
+    for shape, cells in evaluate_steps(cyclically_decreasing_word(residues, core.k), shape):
         touched.extend(cells)
-    return core, tuple(sorted(touched))
+    return Core(shape, core.k), tuple(sorted(touched))
+
+
+@cache
+def _block_letters(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The letters of the block on every r-subset of [0, k], in evaluation order.
+
+    Subsets come in combinations order; each block's letters are those of
+    its cyclically decreasing word, rightmost first.
+    """
+    return tuple(
+        cyclically_decreasing_word(subset, k).letters[::-1]
+        for subset in combinations(range(k + 1), r)
+    )
+
+
+def _alive_blocks(beta_shape: tuple[int, ...], r: int, k: int):
+    """(gamma_shape, touched cells, letters) of each r-block alive on the (k+1)-core beta.
+
+    Blocks come in the order of _block_letters, whose letters they carry.
+    """
+    for letters in _block_letters(r, k):
+        gamma = beta_shape
+        touched: list[Cell] = []
+        for i in letters:
+            gamma, cells = _corner_step(gamma, k, i)
+            if not cells:
+                break
+            touched.extend(cells)
+        else:
+            yield gamma, touched, letters
 
 
 class Factorization(Record):
@@ -173,27 +210,21 @@ class Factorization(Record):
 def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[Factorization]]:
     """Every factorization with block sizes alpha, keyed by its k-bounded shape.
 
-    One search over tuples of blocks: blocks are subsets of [0, k] (each
-    subset carries a unique cyclically decreasing element), and a tuple
-    qualifies when every letter finds a corner; it factors the grassmannian
-    element of the bounded image of its final core.  Zero parts of alpha are
-    skipped.  Each list is sorted by the letters of its blocks.
+    One walk over the blocks, level by level: each part of alpha extends
+    every alive prefix by each block of that size alive on its core (each
+    subset of [0, k] carries a unique cyclically decreasing element).  A
+    complete tuple factors the grassmannian element of the bounded image of
+    its final core.  Zero parts of alpha are skipped.  Each list is sorted
+    by the letters of its blocks.
     """
-    sizes = check_composition(alpha, k)
+    level: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), ())]
+    for r in check_composition(alpha, k):
+        level = [(chosen + (letters,), gamma)
+                 for chosen, shape in level for gamma, _, letters in _alive_blocks(shape, r, k)]
     groups: dict[tuple[int, ...], list[Factorization]] = {}
-
-    def rec(pos: int, core: Core, chosen: tuple[ResidueWord, ...]):
-        if pos == len(sizes):
-            groups.setdefault(core.to_bounded(), []).append(Factorization(chosen, k))
-            return
-        for subset in combinations(range(k + 1), sizes[pos]):
-            try:
-                nxt, _ = apply_block(core, subset)
-            except DeadWordError:
-                continue
-            rec(pos + 1, nxt, chosen + (cyclically_decreasing_word(subset, k),))
-
-    rec(0, Core((), k), ())
+    for chosen, shape in level:
+        blocks = tuple(ResidueWord(letters[::-1], k) for letters in chosen)
+        groups.setdefault(core_to_bounded(shape, k), []).append(Factorization(blocks, k))
     for facts in groups.values():
         facts.sort(key=lambda f: tuple(b.letters for b in f.blocks))
     return groups

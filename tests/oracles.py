@@ -8,7 +8,8 @@ From the package this takes plain shape and core helpers, the
 SetValuedFilling record, tableaux.gamma_blocked (the one strip condition
 the classical count shares), tableaux.lowest_reading_word,
 cyclically_decreasing_word, and words.apply_block, the letter-by-letter
-block application that the cached strip transitions are compared with.
+block application that the cached strip transitions and the block walk of
+the factorizations are compared with.
 The few symfunc names used are imported inside the functions that use them.
 """
 
@@ -23,6 +24,7 @@ from kgroth.partitions import (
     Core,
     Record,
     _set,
+    check_composition,
     check_partition,
     conjugate,
     contains,
@@ -37,7 +39,13 @@ from kgroth.partitions import (
     skew_cells,
 )
 from kgroth.tableaux import SetValuedFilling, gamma_blocked, lowest_reading_word
-from kgroth.words import DeadWordError, ResidueWord, apply_block, cyclically_decreasing_word
+from kgroth.words import (
+    DeadWordError,
+    Factorization,
+    ResidueWord,
+    apply_block,
+    cyclically_decreasing_word,
+)
 
 
 class AffPerm:
@@ -489,6 +497,33 @@ def strip_transitions_by_blocks(beta_shape: tuple[int, ...], r: int, k: int):
         out.append((gamma.shape, tuple(v for v in rows if v > 0)))
     out.sort()
     return tuple(out)
+
+
+def factorizations_by_search(alpha, k: int) -> dict[tuple[int, ...], list]:
+    """words.factorizations_by_shape by a recursive search over tuples of blocks.
+
+    Tries the block of every subset of [0, k] of each size in turn through
+    words.apply_block, dropping a tuple at its first dead letter; a complete
+    tuple is keyed by the bounded image of its final core.
+    """
+    sizes = check_composition(alpha, k)
+    groups: dict[tuple[int, ...], list] = {}
+
+    def rec(pos: int, core: Core, chosen: tuple[ResidueWord, ...]):
+        if pos == len(sizes):
+            groups.setdefault(core.to_bounded(), []).append(Factorization(chosen, k))
+            return
+        for subset in combinations(range(k + 1), sizes[pos]):
+            try:
+                nxt, _ = apply_block(core, subset)
+            except DeadWordError:
+                continue
+            rec(pos + 1, nxt, chosen + (cyclically_decreasing_word(subset, k),))
+
+    rec(0, Core((), k), ())
+    for facts in groups.values():
+        facts.sort(key=lambda f: tuple(b.letters for b in f.blocks))
+    return groups
 
 
 def column_by_weight(mu, step, *args) -> dict[tuple[int, ...], int]:

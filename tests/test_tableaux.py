@@ -4,7 +4,14 @@ from itertools import accumulate, product
 import pytest
 
 import kgroth.tableaux as tableaux
-from kgroth.partitions import Core, bounded_to_core, degree, k_bounded_up_to, partitions_of
+from kgroth.partitions import (
+    Core,
+    bounded_to_core,
+    contains,
+    degree,
+    k_bounded_up_to,
+    partitions_of,
+)
 from kgroth.symfunc import _h_in_s, _s_in_m, distinct_permutations
 from kgroth.tableaux import (
     SetValuedFilling,
@@ -51,6 +58,7 @@ from oracles import (
     fits_affine_sv_blocks,
     is_affine_strip,
     is_affine_sv_strip,
+    is_horizontal_strip,
     is_k_tableau,
     k_tableau_weight,
     semistandard_fillings,
@@ -475,6 +483,15 @@ def test_affine_sweep_matches_the_per_weight_loop(k, fresh_sweeps):
     kept = tableaux._PREFIXES[(tableaux._affine_steps, (k,))]
     assert all(_is_partition(prefix) for prefix in kept)
     assert set(kept) == set(k_bounded_up_to(8, k))
+
+
+def test_horizontal_strips_are_every_strip_of_their_size_in_increasing_order():
+    for n in range(7):
+        for beta in partitions_of(n):
+            for r in range(5):
+                want = sorted(gamma for gamma in partitions_of(n + r)
+                              if contains(gamma, beta) and is_horizontal_strip(gamma, beta))
+                assert _horizontal_strips(beta, r) == tuple((gamma, 1) for gamma in want), (beta, r)
 
 
 @pytest.mark.parametrize("step, read", [

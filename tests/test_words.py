@@ -11,12 +11,18 @@ from kgroth.words import (
     apply_block,
     cyclically_decreasing_word,
     evaluate,
+    factorizations_by_shape,
     standard_tableau_of_word,
     word_of_partition,
 )
 
 from known_values import STANDARD_DEG5_K2_DOCUMENTED, filling
-from oracles import coxeter_product, demazure_product, is_cyclically_decreasing
+from oracles import (
+    coxeter_product,
+    demazure_product,
+    factorizations_by_search,
+    is_cyclically_decreasing,
+)
 
 
 def W(text, k):
@@ -92,6 +98,12 @@ def test_canonical_cyclically_decreasing_word():
     assert cyclically_decreasing_word({0, 1, 3}, 3).letters == (1, 0, 3)
     with pytest.raises(ValueError):
         cyclically_decreasing_word({0, 1, 2}, 2)
+    with pytest.raises(ValueError, match=r"^residue 5 does not lie in \[0, 2\]$"):
+        cyclically_decreasing_word((5,), 2)
+    with pytest.raises(ValueError, match=r"^residue 3 does not lie in \[0, 2\]$"):
+        apply_block(Core((), 2), {3})
+    with pytest.raises(ValueError, match=r"^residue 3 does not lie in \[0, 2\]$"):
+        cyclically_decreasing_word((0, 3), 2)
     for k in (2, 3):
         from itertools import combinations
 
@@ -136,6 +148,18 @@ def test_factorization_structure():
             assert is_cyclically_decreasing(block)
         word = ResidueWord(tuple(v for block in reversed(fact.blocks) for v in block.letters), 2)
         assert evaluate(word).to_bounded() == (2, 1, 1)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 7), (3, 6), (4, 6)])
+def test_factorizations_by_shape_match_the_recursive_search(k, n_max):
+    from kgroth.partitions import k_bounded_partitions
+    from kgroth.symfunc import distinct_permutations
+
+    for n in range(n_max + 1):
+        for alpha in (a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)):
+            walked, searched = factorizations_by_shape(alpha, k), factorizations_by_search(alpha, k)
+            # the same lists under the same keys, the keys in the same order
+            assert walked == searched and list(walked) == list(searched), alpha
 
 
 @pytest.mark.parametrize("k", [2, 3])
