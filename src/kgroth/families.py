@@ -12,15 +12,16 @@ from functools import cache
 
 from .kostka import _column
 from .partitions import (
+    bounded_to_core,
     check_bounded,
     check_partition,
+    core_to_bounded,
     degree,
     k_bounded_partitions,
     k_bounded_up_to,
     k_conjugate,
     main_hook,
     partitions_of,
-    Core,
     Record,
     _set,
 )
@@ -29,10 +30,10 @@ from .symfunc import (
     distinct_permutations, solve_unitriangular,
 )
 from .tableaux import (
+    _strip_transitions,
+    _vertical_transitions,
     classical_kostka_column,
     count_kostka,
-    enumerate_sv_strips,
-    enumerate_sv_strips_vertical,
     kostka_column,
     sweep,
 )
@@ -83,6 +84,7 @@ def dual_grothendieck(lam) -> SymFunc:
     return _solve_h(check_partition(lam), classical_kostka_column)
 
 
+@cache
 def grothendieck(lam, deg_max: int) -> SymFunc:
     """Monomial expansion of the stable Grothendieck polynomial, truncated."""
     lam = check_partition(lam)
@@ -112,6 +114,7 @@ def k_schur(lam, k: int) -> SymFunc:
     return _solve_h(lam, top_column)
 
 
+@cache
 def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
     lam = check_bounded(lam, k)
@@ -120,6 +123,7 @@ def dual_k_schur(lam, k: int) -> SymFunc:
     return SymFunc("m", coeffs, None, k)
 
 
+@cache
 def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     """Signed weight generating function over all weights up to deg_max."""
     lam = check_bounded(lam, k)
@@ -166,18 +170,19 @@ class PieriResult(Record):
 
 
 def _pieri(direction: str, lam, r: int, k: int) -> PieriResult:
+    """The row rule reads the strip transitions of lam's core; the column rule their transport."""
     lam = check_bounded(lam, k)
     if not 0 <= r <= k:
         raise ValueError(f"r must lie in [0, {k}]: {r}")
-    beta = Core.from_bounded(lam, k)
-    enum = enumerate_sv_strips if direction == "row" else enumerate_sv_strips_vertical
+    beta = bounded_to_core(lam, k).shape
+    transitions = _strip_transitions if direction == "row" else _vertical_transitions
+    top = degree(lam) + r
     terms: dict[tuple[int, ...], int] = {}
     strips = []
-    for gamma, rho in enum(beta, r):
-        mu = gamma.to_bounded()
+    for gamma, rho in transitions(beta, r, k):
+        mu = core_to_bounded(gamma, k)
         strips.append((mu, rho))
-        sign = -1 if (degree(lam) + r - degree(mu)) % 2 else 1
-        terms[mu] = terms.get(mu, 0) + sign
+        terms[mu] = terms.get(mu, 0) + (-1 if (top - degree(mu)) % 2 else 1)
     terms = {mu: c for mu, c in terms.items() if c}
     return PieriResult(direction, lam, r, k, terms, tuple(sorted(strips)))
 
@@ -429,12 +434,14 @@ def verify_reduction_G(k: int, deg_max: int) -> CheckResult:
 def verify_pieri(k: int, deg_max: int) -> CheckResult:
     """Strip expansions match the direct h-basis products."""
     res = CheckResult("pieri-consistency", {"k": k, "deg_max": deg_max})
+    rows = {r: h((r,)) for r in range(1, k + 1)}
+    columns = {r: kkschur((1,) * r, k) for r in range(1, k + 1)}
     for lam in k_bounded_up_to(deg_max, k):
         g = kkschur(lam, k)
         for r in range(1, k + 1):
-            res.expect(row_pieri(lam, r, k).as_symfunc(), h((r,)) * g,
+            res.expect(row_pieri(lam, r, k).as_symfunc(), rows[r] * g,
                        "row rule fails at lam={lam}, r={r}", lam=lam, r=r)
-            res.expect(column_pieri(lam, r, k).as_symfunc(), kkschur((1,) * r, k) * g,
+            res.expect(column_pieri(lam, r, k).as_symfunc(), columns[r] * g,
                        "column rule fails at lam={lam}, r={r}", lam=lam, r=r)
     return res
 
@@ -466,7 +473,6 @@ def verify_bijection(k: int, deg_max: int) -> CheckResult:
     """
     from itertools import accumulate
 
-    from .partitions import core_to_bounded
     from .tableaux import enumerate_tableaux, is_standard_affine_sv, valid_blocks
     from .words import alive_words, factorizations_by_shape, standard_tableau_of_word
 
@@ -549,12 +555,11 @@ def _report(name: str, k: int, deg_max: int, entries: list[dict]) -> dict:
 
 
 def scan_G_in_dualks(k: int, deg_max: int) -> dict:
-    member = cache(lambda mu: dual_k_schur(mu, k))
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
         big = affine_grothendieck(lam, k, deg_max)
         coeffs = expand_in_dual_family(
-            big, member, lambda d: k_bounded_partitions(d, k), deg_max
+            big, lambda mu: dual_k_schur(mu, k), lambda d: k_bounded_partitions(d, k), deg_max
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     return _report("G-in-dualks-positivity", k, deg_max, _entries(rows))
@@ -579,12 +584,11 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
         )
         rows.extend((lam, mu, c) for mu, c in sorted(coeffs.items()))
     # dual side: level-(k+1) generating functions reduced into level k
-    member = cache(lambda mu: affine_grothendieck(mu, k, deg_max))
     dual_rows = []
     for lam in k_bounded_up_to(deg_max, k + 1):
         coeffs = expand_in_dual_family(
             project_bounded(affine_grothendieck(lam, k + 1, deg_max), k),
-            member,
+            lambda mu: affine_grothendieck(mu, k, deg_max),
             lambda d: k_bounded_partitions(d, k),
             deg_max,
         )
@@ -596,12 +600,11 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
 def scan_s_in_Gk(k: int, deg_max: int) -> dict:
     from .symfunc import s as schur
 
-    member = cache(lambda mu: affine_grothendieck(mu, k, deg_max))
     rows = []
     for lam in k_bounded_up_to(deg_max, k):
         coeffs = expand_in_dual_family(
             project_bounded(schur(lam), k),
-            member,
+            lambda mu: affine_grothendieck(mu, k, deg_max),
             lambda d: k_bounded_partitions(d, k),
             deg_max,
         )

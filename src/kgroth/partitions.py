@@ -66,10 +66,18 @@ def degree(lam: tuple[int, ...]) -> int:
 
 
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths of lam; an involution."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for v in lam if v > j) for j in range(lam[0]))
+    """Column lengths of lam; an involution.
+
+    One walk in O(lam[0] + len(lam)): column j is as long as the number of
+    rows longer than j, and that count only shrinks as j grows.
+    """
+    out = []
+    rows = len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[rows - 1] <= j:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 def contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:

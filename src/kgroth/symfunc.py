@@ -43,24 +43,37 @@ class SymFunc(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the basis and level, and normalize coeffs to nonzero integers."""
+        """Check the basis and level, and normalize coeffs to nonzero integers.
+
+        One pass builds a new dict, never the caller's; only when two keys
+        normalize to the same partition can a sum be zero, and only then is a
+        second pass made to drop it.
+        """
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}")
         deg_max, k = self.deg_max, self.k
         if k is not None and self.basis != "m":
             raise ValueError("only monomial-basis elements live in the quotient")
         clean: dict[tuple[int, ...], int] = {}
+        merged = False
         for key, c in self.coeffs.items():
             lam = _check_key(key) if type(key) is tuple else check_partition(key)
-            c = int(c)
+            if type(c) is not int:
+                c = int(c)
             if not c:
                 continue
             if deg_max is not None and sum(lam) > deg_max:
                 continue
             if k is not None and lam and lam[0] > k:
                 continue
-            clean[lam] = clean.get(lam, 0) + c
-        _set(self, "coeffs", {a: b for a, b in clean.items() if b})
+            if lam in clean:
+                merged = True
+                clean[lam] += c
+            else:
+                clean[lam] = c
+        if merged:
+            clean = {a: b for a, b in clean.items() if b}
+        _set(self, "coeffs", clean)
 
     # -- inspection ---------------------------------------------------------
 

@@ -242,6 +242,18 @@ def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
     return tuple(out)
 
 
+def _vertical_transitions(beta_shape: tuple[int, ...], r: int, k: int):
+    """The strip transitions of the conjugate core, each (gamma, rho) conjugated back, sorted.
+
+    The conjugate of a (k+1)-core is one, so this is the transport of the
+    row strips through the k-conjugation, on shape tuples.
+    """
+    return sorted(
+        (conjugate(gamma), conjugate(rho))
+        for gamma, rho in _strip_transitions(conjugate(beta_shape), r, k)
+    )
+
+
 def enumerate_sv_strips(beta: Core, r: int) -> list[tuple[Core, tuple[int, ...]]]:
     """The multiset of affine set-valued r-strips that can be added to beta.
 
@@ -257,12 +269,7 @@ def enumerate_sv_strips_vertical(beta: Core, r: int) -> list[tuple[Core, tuple[i
     """Conjugate transport of enumerate_sv_strips through the k-conjugation."""
     if not 0 <= r <= beta.k:
         raise ValueError(f"strip size must lie in [0, {beta.k}]: {r}")
-    out = [
-        (gamma.conjugate(), conjugate(rho))
-        for gamma, rho in enumerate_sv_strips(beta.conjugate(), r)
-    ]
-    out.sort(key=lambda p: (p[0].shape, p[1]))
-    return out
+    return [(Core(g, beta.k), rho) for g, rho in _vertical_transitions(beta.shape, r, beta.k)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ SetValuedFilling record, tableaux.gamma_blocked (the one strip condition
 the classical count shares), tableaux.lowest_reading_word,
 cyclically_decreasing_word, and words.apply_block, the letter-by-letter
 block application that the cached strip transitions and the block walk of
-the factorizations are compared with.
+the factorizations are compared with.  The first forms of conjugate, of the
+Pieri rules on Core values and of SymFunc's coefficient normalization stay
+here too, as the references their faster forms are pinned to.
 The few symfunc names used are imported inside the functions that use them.
 """
 
@@ -859,3 +861,65 @@ def expand_in_family_by_solve(f, family, index_sets) -> dict[tuple[int, ...], in
         return convert(family(nu), "h").coeffs
 
     return solve_unitriangular(work.coeffs, column, h_order)
+
+
+# ---------------------------------------------------------------------------
+# conjugation, Pieri strips and SymFunc normalization as they were first written
+
+
+def conjugate_by_counts(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of lam, each counted over every row: O(lam[0] * len(lam))."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for v in lam if v > j) for j in range(lam[0]))
+
+
+def vertical_strips_by_cores(beta: Core, r: int) -> list[tuple[Core, tuple[int, ...]]]:
+    """The row strips of the conjugate Core, each (gamma, rho) conjugated back as Core values."""
+    from kgroth.tableaux import enumerate_sv_strips
+
+    k = beta.k
+    out = [
+        (Core(conjugate_by_counts(gamma.shape), k), conjugate_by_counts(rho))
+        for gamma, rho in enumerate_sv_strips(Core(conjugate_by_counts(beta.shape), k), r)
+    ]
+    out.sort(key=lambda p: (p[0].shape, p[1]))
+    return out
+
+
+def pieri_by_cores(direction: str, lam, r: int, k: int):
+    """families._pieri with a Core value per strip, each end core read through Core.to_bounded."""
+    from kgroth.families import PieriResult
+    from kgroth.partitions import check_bounded
+    from kgroth.tableaux import enumerate_sv_strips
+
+    lam = check_bounded(lam, k)
+    if not 0 <= r <= k:
+        raise ValueError(f"r must lie in [0, {k}]: {r}")
+    beta = Core.from_bounded(lam, k)
+    enum = enumerate_sv_strips if direction == "row" else vertical_strips_by_cores
+    terms: dict[tuple[int, ...], int] = {}
+    strips = []
+    for gamma, rho in enum(beta, r):
+        mu = gamma.to_bounded()
+        strips.append((mu, rho))
+        sign = -1 if (degree(lam) + r - degree(mu)) % 2 else 1
+        terms[mu] = terms.get(mu, 0) + sign
+    terms = {mu: c for mu, c in terms.items() if c}
+    return PieriResult(direction, lam, r, k, terms, tuple(sorted(strips)))
+
+
+def normalized_by_two_passes(coeffs: dict, deg_max=None, k=None) -> dict:
+    """SymFunc's coefficient normalization: sum every key, then drop the zero sums."""
+    clean: dict[tuple[int, ...], int] = {}
+    for key, c in coeffs.items():
+        lam = check_partition(key)
+        c = int(c)
+        if not c:
+            continue
+        if deg_max is not None and sum(lam) > deg_max:
+            continue
+        if k is not None and lam and lam[0] > k:
+            continue
+        clean[lam] = clean.get(lam, 0) + c
+    return {a: b for a, b in clean.items() if b}

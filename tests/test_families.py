@@ -22,6 +22,8 @@ from kgroth.families import (
     verify_newton,
     verify_omega,
     verify_pieri,
+    verify_reduction_g,
+    verify_reduction_G,
 )
 from kgroth.partitions import (
     degree,
@@ -36,7 +38,7 @@ from kgroth.symfunc import SymFunc, binomial, convert, e, h, hall_inner, m, s
 from kgroth.tableaux import classical_kostka_column, kostka_column
 
 from known_values import COL_PIERI_321_R2_K3, ROW_PIERI_321_R2_K3
-from oracles import expand_in_family_by_solve, omega_big_oracle
+from oracles import expand_in_family_by_solve, omega_big_oracle, pieri_by_cores
 
 
 def test_dual_grothendieck_rows_are_complete_generators():
@@ -162,6 +164,78 @@ def test_pieri_matches_products_small():
         for r in (1, 2):
             assert row_pieri(lam, r, 2).as_symfunc() == h((r,)) * g
             assert column_pieri(lam, r, 2).as_symfunc() == kkschur((1,) * r, 2) * g
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pieri_rules_match_the_core_object_oracle(k):
+    # the terms in their key order and the strips, both directions, every r
+    for lam in k_bounded_up_to(8, k):
+        for r in range(k + 1):
+            for rule, direction in ((row_pieri, "row"), (column_pieri, "col")):
+                got, want = rule(lam, r, k), pieri_by_cores(direction, lam, r, k)
+                assert list(got.terms.items()) == list(want.terms.items()), (direction, lam, r)
+                assert got.strips == want.strips, (direction, lam, r)
+
+
+def _one_term_dropped(rule, lam, r):
+    """rule with the first term of its expansion at (lam, r) left out."""
+    from kgroth.families import PieriResult
+
+    def planted(mu, s, k):
+        res = rule(mu, s, k)
+        if (mu, s) != (lam, r):
+            return res
+        terms = dict(list(res.terms.items())[1:])
+        return PieriResult(res.direction, res.lam, res.r, res.k, terms, res.strips)
+
+    return planted
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("row_pieri", "row rule fails at lam=(2, 1), r=1"),
+    ("column_pieri", "column rule fails at lam=(2, 1), r=1"),
+])
+def test_pieri_consistency_reports_a_dropped_term(rule, message, monkeypatch):
+    import kgroth.families as families
+
+    instances = verify_pieri(2, 4).instances
+    monkeypatch.setattr(families, rule, _one_term_dropped(getattr(families, rule), (2, 1), 1))
+    res = verify_pieri(2, 4)
+    assert res.instances == instances == 2 * 2 * len(k_bounded_up_to(4, 2))
+    assert res.failures == [message]
+
+
+def test_reduction_g_reports_a_wrong_k_schur_member(monkeypatch):
+    import kgroth.families as families
+
+    instances = verify_reduction_g(2, 4).instances
+    true = families.k_schur
+    monkeypatch.setattr(families, "k_schur",
+                        lambda lam, k: true(lam, k) + h(lam) if lam == (2, 1) else true(lam, k))
+    res = verify_reduction_g(2, 4)
+    assert res.instances == instances
+    assert res.failures == ["top of g[(2, 1)] is not the k-Schur element"]
+
+
+@pytest.mark.parametrize("member, wrong, message", [
+    ("dual_k_schur", (2, 1), "lowest component of G[(2, 1)] is not the dual k-Schur element"),
+    # the classical comparison runs only where the main hook is at most k
+    ("grothendieck", (2,), "G[(2,)] differs from the classical expansion at k=2"),
+])
+def test_reduction_G_reports_a_wrong_member(member, wrong, message, monkeypatch):
+    import kgroth.families as families
+
+    instances = verify_reduction_G(2, 4).instances
+    true = getattr(families, member)
+
+    def planted(lam, *rest):
+        f = true(lam, *rest)
+        return f + SymFunc("m", {lam: 1}, f.deg_max, f.k) if lam == wrong else f
+
+    monkeypatch.setattr(families, member, planted)
+    res = verify_reduction_G(2, 4)
+    assert res.instances == instances
+    assert res.failures == [message]
 
 
 def test_omega_big_basics():
@@ -515,20 +589,28 @@ def test_scan_findings_are_pinned(name, planted, monkeypatch):
     ("s-in-Gk-positivity", "affine_grothendieck", 2, 6),
 ])
 def test_each_scan_builds_each_member_once(name, member, k, deg_max, monkeypatch):
+    # the members are memoized, so a call is not a build: a build is a weight
+    # series, counted from empty caches by the member that runs it and its arguments
+    import sys
     from collections import Counter
 
     import kgroth.families as families
 
-    true = getattr(families, member)
+    for fn in (families.affine_grothendieck, families.dual_k_schur):
+        fn.cache_clear()
+    true = families._series
     builds = Counter()
 
     def counted(*args):
-        builds[args] += 1
+        frame = sys._getframe(1)
+        code = frame.f_code
+        builds[code.co_name, *(frame.f_locals[v] for v in code.co_varnames[:code.co_argcount])] += 1
         return true(*args)
 
-    monkeypatch.setattr(families, member, counted)
+    monkeypatch.setattr(families, "_series", counted)
     families.SCANS[name](k, deg_max)
-    assert builds and max(builds.values()) == 1, builds.most_common(3)
+    assert any(key[0] == member for key in builds), builds
+    assert max(builds.values()) == 1, builds.most_common(3)
 
 
 def test_every_scan_reports_through_one_builder():

@@ -30,6 +30,7 @@ from oracles import (
     add_cells,
     addable_corners,
     bounded_to_core_by_corners,
+    conjugate_by_counts,
     core_to_bounded_by_hooks,
     corner_step_by_corners,
     is_core_by_hooks,
@@ -130,6 +131,12 @@ def test_conjugate_examples():
     assert conjugate((3, 1, 1)) == (3, 1, 1)
     assert conjugate(()) == ()
     assert conjugate((6, 4, 3, 1, 1, 1)) == (6, 3, 3, 2, 1, 1)
+
+
+def test_conjugate_matches_the_column_counts():
+    for n in range(16):
+        for lam in partitions_of(n):
+            assert conjugate(lam) == conjugate_by_counts(lam), lam
 
 
 @given(partitions())

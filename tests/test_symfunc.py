@@ -24,6 +24,7 @@ from oracles import (
     m_product_oracle,
     m_to_he_through_e,
     matrix_count,
+    normalized_by_two_passes,
 )
 
 
@@ -65,6 +66,45 @@ def test_construction_normalizes_keys():
     assert SymFunc("h", {"21": 1, (2, 1): 2}).coeffs == {(2, 1): 3}
     assert SymFunc("h", {"21": 1, (2, 1): -1}).is_zero()
     assert SymFunc("m", {(3,): 1, (2, 1): 1, (1,): 0}, deg_max=3, k=2).coeffs == {(2, 1): 1}
+
+
+class _Pairs:
+    """A coefficient table given as (key, coefficient) pairs, so a key may be a list."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+@pytest.mark.parametrize("basis, coeffs, deg_max, k", [
+    # already clean: still copied, never kept
+    ("h", {(2, 1): 3, (1,): -1}, None, None),
+    ("h", _Pairs(([2, 1], 3), ((1,), 2), ([1], -2), ([3], 1)), None, None),
+    ("h", {("2", 1): 1, (2.0,): 2, (1, 1): 4, (2, 1): 5}, None, None),
+    ("e", {(1,): True, (2,): False, (1, 1): True, (3,): 2.0}, None, None),
+    # keys that merge and cancel, one of them back again later
+    ("h", _Pairs(((3,), 1), ("2", 1), ((1,), 1), ((2,), -1), ("1", -1), ([1], 4)), None, None),
+    ("m", {(3,): 1, (2, 1): 1, (1,): 0, (2,): 2, (1, 1, 1, 1): 1}, 3, 2),
+    ("m", _Pairs(((2, 2), 1), ([2, 2], -1), ((1, 1), 3), ((4,), 1)), 4, None),
+    ("m", _Pairs(((3,), 1), ("3", 1), ((2, 1), 2), ((1,), 1)), None, 2),
+])
+def test_normalization_matches_the_two_pass_oracle(basis, coeffs, deg_max, k):
+    f = SymFunc(basis, coeffs, deg_max, k)
+    want = normalized_by_two_passes(coeffs, deg_max, k)
+    assert list(f.coeffs.items()) == list(want.items())
+    assert all(type(c) is int and c for c in f.coeffs.values())
+    assert f.coeffs is not coeffs
+
+
+@pytest.mark.parametrize("coeffs", [{(1, 2): "x"}, {(2, 1): "x"}, {(2, 1): 1, (0,): 1}])
+def test_normalization_raises_as_the_two_pass_oracle(coeffs):
+    with pytest.raises(ValueError) as want:
+        normalized_by_two_passes(coeffs)
+    with pytest.raises(ValueError) as got:
+        SymFunc("h", coeffs)
+    assert str(got.value) == str(want.value)
 
 
 def test_monomial_multiplication_examples():

@@ -65,6 +65,7 @@ from oracles import (
     strip_transitions_by_blocks,
     sv_strips_brute,
     vertical_strips_brute,
+    vertical_strips_by_cores,
 )
 
 
@@ -304,6 +305,15 @@ def test_vertical_strips_trivial_and_brute():
             for r in range(k + 1):
                 fast = sorted((g.shape, rho) for g, rho in enumerate_sv_strips_vertical(beta, r))
                 assert fast == vertical_strips_brute(beta, r), (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_vertical_strips_match_the_core_transport_in_order(k):
+    for lam in k_bounded_up_to(7, k):
+        beta = bounded_to_core(lam, k)
+        for r in range(k + 1):
+            got = enumerate_sv_strips_vertical(beta, r)
+            assert got == vertical_strips_by_cores(beta, r), (lam, r)
 
 
 def test_strip_bounds():
