@@ -16,7 +16,7 @@ import sys
 from . import families, kostka
 from .partitions import check_partition, degree, is_k_bounded
 from .symfunc import convert, s as schur
-from .tableaux import enumerate_tableaux
+from .tableaux import count_kostka, enumerate_tableaux
 
 # family -> (default basis, takes --k, series truncated at --deg-max, member);
 # member(lam, k, deg_max) looks its function up when called, so a rebound
@@ -168,22 +168,20 @@ def cmd_tableaux(args) -> int:
     else:
         alpha = parse_composition(args.weight)
         _require_bounded(k, alpha=alpha)
-    chains = enumerate_tableaux(lam, alpha, k)
-    fillings = [ch.to_filling(alpha) for ch in chains]
-    fillings.sort(key=lambda t: sorted((c, tuple(sorted(s))) for c, s in t.cells.items()))
-    payload = {
-        "shape": list(lam),
-        "weight": list(alpha),
-        "k": k,
-        "count": len(fillings),
-    }
-    lines = [f"count: {len(fillings)}"]
+    payload = {"shape": list(lam), "weight": list(alpha), "k": k}
+    lines = []
     if args.list:
+        fillings = [ch.to_filling(alpha) for ch in enumerate_tableaux(lam, alpha, k)]
+        fillings.sort(key=lambda t: sorted((c, tuple(sorted(s))) for c, s in t.cells.items()))
+        payload["count"] = len(fillings)
         payload["tableaux"] = [t.to_json_dict() for t in fillings]
         for idx, t in enumerate(fillings):
             lines.append(f"[{idx + 1}]")
             lines.append(t.render(k=k, show_residues=args.residues))
-    _emit(args, payload, "\n".join(lines))
+    else:
+        # a bare count is the DP count: no tableau is built only to be counted
+        payload["count"] = count_kostka(lam, alpha, k)
+    _emit(args, payload, "\n".join([f"count: {payload['count']}", *lines]))
     return 0
 
 
@@ -265,8 +263,6 @@ def cmd_kostka(args) -> int:
         lam = parse_partition(args.shape)
         alpha = parse_composition(args.weight)
         _require_bounded(k, lam, alpha)
-        from .tableaux import count_kostka
-
         value = count_kostka(lam, alpha, k)
         payload = {"k": k, "shape": list(lam), "weight": list(alpha), "count": value}
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")

@@ -116,17 +116,6 @@ def removable_corners(lam: tuple[int, ...]) -> list[Cell]:
     return out
 
 
-def skew_cells(gamma: tuple[int, ...], rho: tuple[int, ...]) -> list[Cell]:
-    """Cells of gamma/rho; rho must be contained in gamma."""
-    if not contains(gamma, rho):
-        raise ValueError(f"{rho} is not contained in {gamma}")
-    out = []
-    for i, row in enumerate(gamma):
-        lo = rho[i] if i < len(rho) else 0
-        out.extend((i, j) for j in range(lo, row))
-    return out
-
-
 def residue(cell: Cell, k: int) -> int:
     """(col - row) mod (k+1)."""
     i, j = cell
@@ -231,10 +220,6 @@ class Core(Record):
     def to_bounded(self) -> tuple[int, ...]:
         """The bijection onto k-bounded partitions: delete all hooks above k."""
         return core_to_bounded(self.shape, self.k)
-
-    @staticmethod
-    def from_bounded(lam: tuple[int, ...], k: int) -> "Core":
-        return bounded_to_core(check_partition(lam), k)
 
     def conjugate(self) -> "Core":
         return Core(conjugate(self.shape), self.k)

@@ -172,9 +172,8 @@ class SymFunc(Record):
                         continue
                     for key, mult in _m_mult(a, b).items():
                         out[key] = out.get(key, 0) + ca * cb * mult
-        else:  # schur: route through the monomial basis
-            prod = convert(self, "m") * convert(other, "m")
-            return convert(prod.truncate(bound), "s")
+        else:  # schur: route through the complete homogeneous basis
+            return convert(convert(self, "h") * convert(other, "h"), "s")
         return SymFunc(self.basis, out, bound, k)
 
 

@@ -6,7 +6,9 @@ condition is checked literally and its weight conditions are read as one
 table of valid letter blocks.  The strip sets are produced by applying
 cyclically decreasing blocks of marked letters, one subset of residues per
 block, through words._alive_blocks, the one block walk: each block's
-letters step the shape tuple through partitions._corner_step.
+letters step the shape tuple through partitions._corner_step.  A chain is
+filled only where its tableau is listed or compared, each strip from the
+rows of its (gamma, rho).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .partitions import (
     is_core,
     removable_corners,
     residue,
-    skew_cells,
 )
 from .words import _alive_blocks
 
@@ -296,9 +297,15 @@ class StripChain(Record):
         cellmap: dict[Cell, set[int]] = {}
         prefix = 0
         for (gshape, rho), a in zip(self.steps, sizes):
-            # the strip's cells by residue, in order of their rightmost column
+            # the strip's cells, read off the rows of gamma above those of rho,
+            # by residue in order of their rightmost column
+            strip = [(i, j) for i, row in enumerate(gshape)
+                     for j in range(rho[i] if i < len(rho) else 0, row)]
+            # more cells than |gamma| - |rho| exactly when rho is not inside gamma
+            if len(strip) != sum(gshape) - sum(rho):
+                raise ValueError(f"{rho} is not contained in {gshape}")
             groups: dict[int, list[Cell]] = {}
-            for cell in sorted(skew_cells(gshape, rho), key=lambda c: -c[1]):
+            for cell in sorted(strip, key=lambda c: -c[1]):
                 groups.setdefault(residue(cell, self.k), []).append(cell)
             if len(groups) != a:
                 raise ValueError("strip does not carry exactly its weight in residues")
@@ -314,7 +321,7 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
     """All strip chains from the empty core to lam's core with sizes alpha."""
     lam = check_bounded(lam, k)
     sizes = check_composition(alpha, k)
-    target = Core.from_bounded(lam, k).shape
+    target = bounded_to_core(lam, k).shape
     n = degree(lam)
     chains: list[StripChain] = []
     # an explicit stack, so a long weight cannot reach the recursion limit

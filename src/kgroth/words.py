@@ -5,7 +5,9 @@ display order: the rightmost letter acts first when the word is evaluated
 on the empty core, matching the convention that reduced words are read
 off a shape from the top row down, right to left.  Every walk here steps
 plain shape tuples through partitions._corner_step, the one letter rule; a
-Core is built only where a public function returns one.
+Core is built only where a public function returns one.  The factorizations
+are tuples of block letter tuples; alpha_factorizations alone builds them
+into Factorization and ResidueWord records.
 """
 
 from __future__ import annotations
@@ -207,33 +209,34 @@ class Factorization(Record):
         _set(self, "k", k)
 
 
-def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[Factorization]]:
+def factorizations_by_shape(alpha, k: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
     """Every factorization with block sizes alpha, keyed by its k-bounded shape.
 
     One walk over the blocks, level by level: each part of alpha extends
     every alive prefix by each block of that size alive on its core (each
     subset of [0, k] carries a unique cyclically decreasing element).  A
     complete tuple factors the grassmannian element of the bounded image of
-    its final core.  Zero parts of alpha are skipped.  Each list is sorted
-    by the letters of its blocks.
+    its final core.  Zero parts of alpha are skipped.  A factorization is the
+    tuple of its blocks' letters, each in display order, and each list is
+    sorted; no record is built.
     """
     level: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), ())]
     for r in check_composition(alpha, k):
-        level = [(chosen + (letters,), gamma)
+        level = [(chosen + (letters[::-1],), gamma)
                  for chosen, shape in level for gamma, _, letters in _alive_blocks(shape, r, k)]
-    groups: dict[tuple[int, ...], list[Factorization]] = {}
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
     for chosen, shape in level:
-        blocks = tuple(ResidueWord(letters[::-1], k) for letters in chosen)
-        groups.setdefault(core_to_bounded(shape, k), []).append(Factorization(blocks, k))
+        groups.setdefault(core_to_bounded(shape, k), []).append(chosen)
     for facts in groups.values():
-        facts.sort(key=lambda f: tuple(b.letters for b in f.blocks))
+        facts.sort()
     return groups
 
 
 def alpha_factorizations(lam, alpha, k: int) -> list[Factorization]:
     """All factorizations of lam's grassmannian element with block sizes alpha.
 
-    The lam entry of factorizations_by_shape(alpha, k).
+    The records of the lam entry of factorizations_by_shape(alpha, k).
     """
     lam = check_bounded(lam, k)
-    return factorizations_by_shape(alpha, k).get(lam, [])
+    return [Factorization(tuple(ResidueWord(b, k) for b in blocks), k)
+            for blocks in factorizations_by_shape(alpha, k).get(lam, [])]

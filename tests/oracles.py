@@ -28,6 +28,7 @@ from kgroth.partitions import (
     Core,
     Record,
     _set,
+    bounded_to_core,
     check_composition,
     check_partition,
     conjugate,
@@ -40,7 +41,6 @@ from kgroth.partitions import (
     removable_corners,
     residue,
     residue_word,
-    skew_cells,
 )
 from kgroth.tableaux import SetValuedFilling, gamma_blocked, lowest_reading_word
 from kgroth.words import (
@@ -272,6 +272,17 @@ def strip_transitions_by_corners(beta_shape: tuple[int, ...], r: int, k: int):
 
 # ---------------------------------------------------------------------------
 # literal checkers of the strip, chain and k-tableau definitions
+
+
+def skew_cells(gamma: tuple[int, ...], rho: tuple[int, ...]) -> list[Cell]:
+    """Cells of gamma/rho; rho must be contained in gamma."""
+    if not contains(gamma, rho):
+        raise ValueError(f"{rho} is not contained in {gamma}")
+    out = []
+    for i, row in enumerate(gamma):
+        lo = rho[i] if i < len(rho) else 0
+        out.extend((i, j) for j in range(lo, row))
+    return out
 
 
 def is_horizontal_strip(gamma: tuple[int, ...], rho: tuple[int, ...]) -> bool:
@@ -591,10 +602,10 @@ def vertical_strips_brute(beta: Core, r: int) -> list[tuple[tuple[int, ...], tup
     lam = beta.to_bounded()
     lamw = k_conjugate(lam, k)
     out = []
-    for gconj_shape, rho_conj in sv_strips_brute(Core.from_bounded(lamw, k), r):
+    for gconj_shape, rho_conj in sv_strips_brute(bounded_to_core(lamw, k), r):
         mu_w = Core(gconj_shape, k).to_bounded()
         mu = k_conjugate(mu_w, k)
-        out.append((Core.from_bounded(mu, k).shape, conjugate(rho_conj)))
+        out.append((bounded_to_core(mu, k).shape, conjugate(rho_conj)))
     return sorted(out)
 
 
@@ -975,7 +986,7 @@ def pieri_by_cores(direction: str, lam, r: int, k: int):
     lam = check_bounded(lam, k)
     if not 0 <= r <= k:
         raise ValueError(f"r must lie in [0, {k}]: {r}")
-    beta = Core.from_bounded(lam, k)
+    beta = bounded_to_core(lam, k)
     enum = enumerate_sv_strips if direction == "row" else vertical_strips_by_cores
     terms: dict[tuple[int, ...], int] = {}
     strips = []

@@ -107,11 +107,46 @@ def test_tableaux_listing(capsys):
     assert code == 0 and "{2,3}_1" in out
 
 
+def test_tableaux_count_builds_no_tableau(capsys, monkeypatch):
+    import kgroth.cli
+    import kgroth.tableaux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bare count built a tableau")
+
+    monkeypatch.setattr(kgroth.cli, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(kgroth.tableaux.StripChain, "to_filling", refuse)
+    argv = ["tableaux", "--shape", "2,1,1", "--weight", "2,1,1,1", "--k", "2"]
+    assert run_cli(capsys, *argv) == (0, "count: 4\n", "")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc == {"count": 4, "k": 2, "shape": [2, 1, 1], "weight": [2, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tableaux_count_is_the_listed_and_the_kostka_count(capsys, k):
+    from kgroth.partitions import k_bounded_up_to
+
+    for lam in k_bounded_up_to(5, k):
+        n = sum(lam)
+        for alpha in [(1,) * n, (1,) * (n + 1), (2, 0) + (1,) * n]:
+            shape, weight = ",".join(map(str, lam)), ",".join(map(str, alpha))
+            common = ["--shape", shape, "--weight", weight, "--k", str(k), "--format", "json"]
+            code, counted, _ = run_cli(capsys, "tableaux", *common)
+            listed = json.loads(run_cli(capsys, "tableaux", *common, "--list")[1])
+            assert code == 0 and json.loads(counted)["count"] == listed["count"], (lam, alpha)
+            assert counted == run_cli(capsys, "kostka", *common)[1], (lam, alpha)
+
+
 def test_tableaux_long_weight_stays_below_the_recursion_limit(capsys):
     code, out, _ = run_cli(
         capsys, "tableaux", "--shape", "1", "--standard-degree", "2000", "--k", "2"
     )
     assert code == 0 and out == "count: 1\n"
+    # a bare count walks no chain, so the listing is what walks the long weight
+    code, out, _ = run_cli(
+        capsys, "tableaux", "--shape", "1", "--standard-degree", "2000", "--k", "2", "--list"
+    )
+    assert code == 0 and out == "count: 1\n[1]\n{" + ",".join(map(str, range(1, 2001))) + "}\n"
 
 
 def test_pieri_row_example(capsys):

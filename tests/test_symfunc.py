@@ -223,17 +223,17 @@ def test_schur_to_h_and_e_match_jacobi_trudi():
 
 def test_schur_products_match_jacobi_trudi():
     # s_lam * s_mu in h is the concatenation product of the two determinants
-    for d in range(7):
-        for n in range(d + 1):
-            for lam in partitions_of(n):
-                for mu in partitions_of(d - n):
-                    want: dict = {}
-                    for a, ca in jacobi_trudi_h(lam).items():
-                        for b, cb in jacobi_trudi_h(mu).items():
-                            key = tuple(sorted(a + b, reverse=True))
-                            want[key] = want.get(key, 0) + ca * cb
-                    want = {key: c for key, c in want.items() if c}
-                    assert convert(s(lam) * s(mu), "h").coeffs == want, (lam, mu)
+    pairs = [(lam, mu) for d in range(7) for n in range(d + 1)
+             for lam in partitions_of(n) for mu in partitions_of(d - n)]
+    pairs += [((4, 3, 2, 1), (4, 3, 2, 1)), ((5, 3, 1), (4, 2, 2))]
+    for lam, mu in pairs:
+        want: dict = {}
+        for a, ca in jacobi_trudi_h(lam).items():
+            for b, cb in jacobi_trudi_h(mu).items():
+                key = tuple(sorted(a + b, reverse=True))
+                want[key] = want.get(key, 0) + ca * cb
+        want = {key: c for key, c in want.items() if c}
+        assert convert(s(lam) * s(mu), "h").coeffs == want, (lam, mu)
     assert s((2,), deg_max=3) * s((2,)) == SymFunc("s", {}, 3)
 
 

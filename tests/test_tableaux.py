@@ -15,6 +15,7 @@ from kgroth.partitions import (
 from kgroth.symfunc import _h_in_s, _s_in_m, distinct_permutations
 from kgroth.tableaux import (
     SetValuedFilling,
+    StripChain,
     _classical_sv_transitions,
     _horizontal_strips,
     _strip_transitions,
@@ -349,6 +350,15 @@ def test_chain_validity_and_conversion():
     for ch in enumerate_tableaux((2, 1, 1), alpha, 2):
         assert chain_is_valid(ch, alpha)
         assert is_affine_sv_tableau(ch.to_filling(alpha), alpha, 2)
+
+
+def test_to_filling_rejects_a_rho_outside_its_gamma():
+    # a row of rho longer than gamma's, a row of rho above gamma, and a chain
+    # that the rows of gamma alone would fill as the tableau {1}{2} of shape (2)
+    for steps, alpha in [((((1,), (2,)),), (1,)), ((((2,), (1, 1)),), (1,)),
+                         ((((1,), ()), ((2,), (1, 1))), (1, 1))]:
+        with pytest.raises(ValueError, match="is not contained in"):
+            StripChain(2, steps).to_filling(alpha)
 
 
 def test_zero_parts_are_skipped():

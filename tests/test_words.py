@@ -158,8 +158,36 @@ def test_factorizations_by_shape_match_the_recursive_search(k, n_max):
     for n in range(n_max + 1):
         for alpha in (a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)):
             walked, searched = factorizations_by_shape(alpha, k), factorizations_by_search(alpha, k)
-            # the same lists under the same keys, the keys in the same order
-            assert walked == searched and list(walked) == list(searched), alpha
+            letters = {lam: [tuple(b.letters for b in f.blocks) for f in facts]
+                       for lam, facts in searched.items()}
+            # the same letter tuples under the same keys, the keys in the same order
+            assert walked == letters and list(walked) == list(letters), alpha
+
+
+def test_factorizations_by_shape_builds_no_record(monkeypatch):
+    built = []
+    init = ResidueWord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidueWord, "__init__", counted)
+    walked = factorizations_by_shape((2, 1, 2, 1), 3)
+    assert sum(map(len, walked.values())) > 0 and not built
+    assert alpha_factorizations((3, 2, 1), (2, 1, 2, 1), 3) and built
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_alpha_factorizations_match_the_recursive_search(k):
+    from kgroth.partitions import k_bounded_partitions
+    from kgroth.symfunc import distinct_permutations
+
+    for n in range(7):
+        for alpha in (a for mu in k_bounded_partitions(n, k) for a in distinct_permutations(mu)):
+            searched = factorizations_by_search(alpha, k)
+            for lam in k_bounded_up_to(n, k):
+                assert alpha_factorizations(lam, alpha, k) == searched.get(lam, []), (lam, alpha)
 
 
 @pytest.mark.parametrize("k", [2, 3])
