@@ -260,6 +260,55 @@ def test_reduction_G_reports_a_series_without_its_lowest_term(monkeypatch, empty
     assert res.failures == ["lowest component of G[(2, 1)] is not the dual k-Schur element"]
 
 
+@pytest.mark.parametrize("k, deg_max", [(2, 6), (3, 7), (4, 9)])
+def test_reduction_G_reads_each_member_to_the_degree_it_compares(k, deg_max, monkeypatch):
+    # a low hook is compared with the classical series up to |lam| + 3; every
+    # other member is read only at its lowest degree, |lam|
+    import kgroth.families as families
+
+    reads = []
+    true = families.affine_grothendieck
+
+    def recorded(lam, k, deg_max):
+        reads.append((lam, deg_max))
+        return true(lam, k, deg_max)
+
+    monkeypatch.setattr(families, "affine_grothendieck", recorded)
+    verify_reduction_G(k, deg_max)
+    shapes = k_bounded_up_to(deg_max, k)
+    assert sorted(lam for lam, _ in reads) == sorted(shapes)
+    for lam, read in reads:
+        assert read == degree(lam) + (3 if main_hook(lam) <= k else 0), lam
+
+
+def test_reduction_G_sweeps_no_weight_above_deg_max(empty_kostka_cache):
+    from kgroth import tableaux
+
+    verify_reduction_G(4, 9)
+    memo = tableaux._PREFIXES[(tableaux._affine_steps, (4,))]
+    assert max(map(degree, memo)) == 9
+
+
+def test_reduction_G_compares_the_top_degree_of_a_low_hook(monkeypatch):
+    # (2,) is a low hook at k = 2, so its series is compared up to degree 5;
+    # a term planted there is lost if the member is truncated any lower
+    import kgroth.families as families
+
+    instances = verify_reduction_G(2, 4).instances
+    true = families.affine_grothendieck
+
+    def planted(lam, k, deg_max):
+        f = true(lam, k, deg_max)
+        if (lam, k, deg_max) == ((2,), 2, 5):
+            return f + SymFunc("m", {(2, 2, 1): 1}, deg_max, k)
+        return f
+
+    monkeypatch.setattr(families, "affine_grothendieck", planted)
+    res = verify_reduction_G(2, 4)
+    assert res.instances == instances
+    assert res.failures == ["G[(2,)] differs from the classical expansion at k=2"]
+
+
 def test_omega_big_basics():
     assert omega_big(h(())) == h(())
     assert omega_big(h((1,))) == h((1,))
