@@ -26,10 +26,11 @@ from .partitions import (
     _set,
 )
 from .symfunc import (
-    SymFunc, _h_in_s, _linear, binomial, convert, e, h, h_order,
+    SymFunc, _h_in_s, binomial, convert, e, h, h_order,
     distinct_permutations, solve_unitriangular,
 )
 from .tableaux import (
+    _linear,
     _strip_transitions,
     _vertical_transitions,
     classical_kostka_column,
@@ -213,10 +214,9 @@ def _omega_big_h(r: int) -> SymFunc:
 
 @cache
 def _omega_step(shape: tuple[int, ...], r: int):
-    """(key, coefficient) pairs: the h-term shape times the image of h_r."""
-    return tuple(
-        (tuple(sorted(shape + key, reverse=True)), c) for key, c in _omega_big_h(r).coeffs.items()
-    )
+    """{key: coefficient}: the h-term shape times the image of h_r."""
+    image = _omega_big_h(r).coeffs
+    return {tuple(sorted(shape + key, reverse=True)): c for key, c in image.items()}
 
 
 def omega_big(f: SymFunc) -> SymFunc:
@@ -228,7 +228,7 @@ def omega_big(f: SymFunc) -> SymFunc:
     fh = convert(f, "h")
     if fh.deg_max is not None:
         raise ValueError("the inhomogeneous conjugation needs an exact expansion")
-    return SymFunc("h", _linear(fh.coeffs, lambda lam: sweep(lam, _omega_step)))
+    return SymFunc("h", _linear(fh.coeffs, sweep, _omega_step))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def verify_duality(k: int, deg_max: int) -> CheckResult:
     shapes = k_bounded_up_to(deg_max, k)
     big_by_key = _transpose({mu: affine_grothendieck(mu, k, deg_max).coeffs for mu in shapes})
     for lam in shapes:
-        row = _linear(kkschur(lam, k).coeffs, lambda nu: big_by_key.get(nu, {}))
+        row = _linear(kkschur(lam, k).coeffs, big_by_key.get, {})
         for mu in shapes:
             res.expect(row.get(mu, 0), int(lam == mu),
                        "<g[{lam}], G[{mu}]> = {got}, expected {want}", lam=lam, mu=mu)
@@ -433,7 +433,7 @@ def verify_reduction_G(k: int, deg_max: int) -> CheckResult:
         if low:
             res.expect(big.coeffs, grothendieck(lam, n + 3).coeffs,
                        "G[{lam}] differs from the classical expansion at k={k}", lam=lam, k=k)
-        pairings = _linear(big.homogeneous(n).coeffs, lambda nu: schur_by_key.get(nu, {}))
+        pairings = _linear(big.homogeneous(n).coeffs, schur_by_key.get, {})
         res.expect({mu: c for mu, c in pairings.items() if c}, {lam: 1},
                    "lowest component of G[{lam}] is not the dual k-Schur element", lam=lam)
     return res

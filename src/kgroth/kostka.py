@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from functools import cache
+from itertools import chain
 
 from .partitions import (
     Record,
@@ -125,14 +126,15 @@ def _load(k: int, deg_max: int, cache_dir: str) -> KostkaMatrix | None:
     try:
         parts = [tuple(p) for p in data["partitions"]]
         flats = data["columns"]
-        if len(flats) != len(parts):
+        # every part, index and count is an int, never a bool, float or string
+        if len(flats) != len(parts) or not set(map(type, chain(*parts))) <= {int}:
             return None
         for mu, flat in zip(parts, flats):
-            index = flat[::2]
-            # a negative index would count from the end of the list
-            if len(flat) % 2 or (index and min(index) < 0):
+            # a negative index would count from the end of the list; a count is positive
+            if len(flat) % 2 or not set(map(type, flat)) <= {int} or (
+                    flat and (min(flat[::2]) < 0 or min(flat[1::2]) < 1)):
                 return None
-            columns[mu] = dict(zip(map(parts.__getitem__, index), map(int, flat[1::2])))
+            columns[mu] = dict(zip(map(parts.__getitem__, flat[::2]), flat[1::2]))
     except (KeyError, TypeError, ValueError, IndexError):
         return None
     if not _plausible(columns, k, deg_max):

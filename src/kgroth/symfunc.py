@@ -16,7 +16,7 @@ from math import comb, factorial
 from operator import neg
 
 from .partitions import Record, _set, check_partition, conjugate, degree, dominates, partitions_of
-from .tableaux import _horizontal_strips, sweep
+from .tableaux import _horizontal_strips, _linear, sweep
 
 BASES = ("m", "h", "e", "s")
 
@@ -352,15 +352,6 @@ def solve_unitriangular(target: dict, column, order) -> dict:
                 residual[nu] = 0
                 heappush(heap, (nu_rank, nu))
             residual[nu] -= c * t
-    return out
-
-
-def _linear(coeffs: dict, table) -> dict[tuple[int, ...], int]:
-    """Image of coeffs under the linear map sending each key lam to table(lam)."""
-    out: dict[tuple[int, ...], int] = {}
-    for lam, c in coeffs.items():
-        for mu, t in table(lam).items():
-            out[mu] = out.get(mu, 0) + c * t
     return out
 
 

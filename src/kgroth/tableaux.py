@@ -348,23 +348,24 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 # counting
 #
 # Every count is a sweep: states map a shape to an integer coefficient, and
-# step(shape, r, *args) gives the (shape', multiplicity) pairs one block of r
-# letters reaches.  Each tableau family has its own step, and sweep() serves
-# every column of every family: a column is the states after its weight.
+# step(shape, r, *args) gives the read-only dict {shape': multiplicity} of
+# the shapes one block of r letters reaches.  A sweep step is _linear with
+# the step as its table.  Each tableau family has its own step, and sweep()
+# serves every column of every family: a column is the states after its weight.
 # The affine step counts the end cores of _alive_blocks, the walk the strip
 # transitions share, and marks no cells: a count never reads rho.
 # The same engine folds the images of the inhomogeneous conjugation, whose
 # step multiplies an h-term by the image of one generator.
 
 
-def _advance(states: dict[tuple[int, ...], int], r: int, step, *args) -> dict[tuple[int, ...], int]:
-    """One sweep step: add a block of r letters to every counted shape."""
-    nxt: dict[tuple[int, ...], int] = {}
-    get = nxt.get
-    for shape, cnt in states.items():
-        for gshape, mult in step(shape, r, *args):
-            nxt[gshape] = get(gshape, 0) + cnt * mult
-    return nxt
+def _linear(coeffs: dict, table, *args) -> dict[tuple[int, ...], int]:
+    """Image of coeffs under the linear map sending each key lam to table(lam, *args)."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for lam, c in coeffs.items():
+        for mu, t in table(lam, *args).items():
+            out[mu] = get(mu, 0) + c * t
+    return out
 
 
 # per (step, args), the states after every partition prefix swept or loaded
@@ -394,7 +395,7 @@ def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
         done -= 1
     states = memo[parts[:done]]
     for i in range(done, len(parts)):
-        states = _advance(states, parts[i], step, *args)
+        states = _linear(states, step, parts[i], *args)
         if i < kept:
             memo[parts[:i + 1]] = states
     return states
@@ -402,13 +403,13 @@ def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
 
 @cache
 def _affine_steps(shape: tuple[int, ...], r: int, k: int):
-    """(gamma, count) pairs: the affine set-valued r-strips on the core of the k-bounded shape."""
+    """{gamma: count}: the affine set-valued r-strips on the core of the k-bounded shape."""
     # bounded_to_core has checked the core, so the walk starts from it unchecked
     out: dict[tuple[int, ...], int] = {}
     for gshape, _, _ in _alive_blocks(bounded_to_core(shape, k).shape, r, k):
         gamma = core_to_bounded(gshape, k)
         out[gamma] = out.get(gamma, 0) + 1
-    return tuple(out.items())
+    return out
 
 
 def count_kostka(lam, alpha, k: int) -> int:
@@ -426,7 +427,7 @@ def count_kostka(lam, alpha, k: int) -> int:
         budget -= r
         states = {
             gamma: cnt
-            for gamma, cnt in _advance(states, r, _affine_steps, k).items()
+            for gamma, cnt in _linear(states, _affine_steps, r, k).items()
             if n - budget <= degree(gamma) <= n
             and contains(target, bounded_to_core(gamma, k).shape)
         }
@@ -444,9 +445,9 @@ def kostka_column(mu, k: int) -> dict[tuple[int, ...], int]:
 
 @cache
 def _horizontal_strips(beta: tuple[int, ...], r: int):
-    """(gamma, 1) pairs, gamma increasing: gamma/beta a horizontal strip of exactly r cells."""
+    """{gamma: 1}, gamma increasing: gamma/beta a horizontal strip of exactly r cells."""
     rows = len(beta)
-    out = []
+    out = {}
     # an explicit stack; row i grows by at most the overhang of row i-1 (row 0
     # freely), and the cells left over open a row no longer than beta's last
     stack = [(0, r, ())]
@@ -454,28 +455,27 @@ def _horizontal_strips(beta: tuple[int, ...], r: int):
         i, left, acc = stack.pop()
         if i == rows:
             if not left:
-                out.append((acc, 1))
+                out[acc] = 1
             elif left <= (beta[-1] if beta else r):
-                out.append((acc + (left,), 1))
+                out[acc + (left,)] = 1
             continue
         room = left if i == 0 else min(left, beta[i - 1] - beta[i])
         # the smallest growth is pushed last and so comes out first
         stack.extend((i + 1, left - g, acc + (beta[i] + g,)) for g in range(room, -1, -1))
-    return tuple(out)
+    return out
 
 
 @cache
 def _classical_sv_transitions(beta: tuple[int, ...], r: int):
-    """(gamma, multiplicity) pairs for one classical set-valued r-strip."""
+    """{gamma: multiplicity}, gamma increasing, for one classical set-valued r-strip."""
     corners = removable_corners(beta)
     out = []
     for new in range(r + 1):
-        for gamma, _ in _horizontal_strips(beta, new):
+        for gamma in _horizontal_strips(beta, new):
             mult = comb(sum(1 for c in corners if not gamma_blocked(c, gamma)), r - new)
             if mult:
                 out.append((gamma, mult))
-    out.sort()
-    return tuple(out)
+    return dict(sorted(out))
 
 
 # a public count and a traced name, so it stays a read of its column

@@ -545,13 +545,13 @@ def column_by_weight(mu, step, *args) -> dict[tuple[int, ...], int]:
     """The states after one block per nonzero part of mu, swept afresh.
 
     The per-weight loop with no memo: step(shape, r, *args) gives the
-    (shape', multiplicity) pairs one block of r letters reaches.
+    {shape': multiplicity} dict of the shapes one block of r letters reaches.
     """
     states = {(): 1}
     for r in [int(a) for a in mu if int(a)]:
         nxt: dict[tuple[int, ...], int] = {}
         for shape, cnt in states.items():
-            for gshape, mult in step(shape, r, *args):
+            for gshape, mult in step(shape, r, *args).items():
                 nxt[gshape] = nxt.get(gshape, 0) + cnt * mult
         states = nxt
     return states
@@ -559,7 +559,7 @@ def column_by_weight(mu, step, *args) -> dict[tuple[int, ...], int]:
 
 @cache
 def _core_steps(shape: tuple[int, ...], r: int, k: int):
-    return tuple(Counter(g for g, _ in strip_transitions_by_blocks(shape, r, k)).items())
+    return dict(Counter(g for g, _ in strip_transitions_by_blocks(shape, r, k)))
 
 
 def affine_column_by_weight(mu, k: int) -> dict[tuple[int, ...], int]:

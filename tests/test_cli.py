@@ -387,6 +387,7 @@ def _write_json(path, data) -> None:
 @pytest.mark.parametrize("corruption", [
     "planted", "top-diagonal", "low-degree", "missing-weight", "v1-body", "v1-rows-as-v2",
     "negative-index", "index-past-end", "odd-length", "extra-column",
+    "count-string", "count-float", "count-negative", "count-zero", "index-true", "part-float",
 ])
 def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, capsys,
                                                          empty_kostka_cache):
@@ -438,6 +439,16 @@ def test_kostka_cache_file_with_wrong_entries_is_rebuilt(corruption, tmp_path, c
         columns[top][off] += len(parts)
     elif corruption == "odd-length":
         columns[top].append(1)
+    elif corruption.startswith("count-"):
+        # an off-diagonal count that is not an int, or not positive
+        columns[top][off + 1] = {"string": "6", "float": 6.9, "negative": -3, "zero": 0}[
+            corruption[6:]]
+    elif corruption == "index-true":
+        # the shape (1) of index 1, which true would stand for
+        flat = columns[top]
+        flat[flat[::2].index(1) * 2] = True
+    elif corruption == "part-float":
+        parts[top] = [float(v) for v in parts[top]]
     else:
         columns.append([0, 1])
     if data is not None:

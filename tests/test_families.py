@@ -491,8 +491,11 @@ def test_omega_reports_a_wrong_generator_image(monkeypatch):
 
     def planted(shape, r):
         # the image of h_2 gains h_2
-        extra = ((tuple(sorted(shape + (2,), reverse=True)), 1),) if r == 2 else ()
-        return true(shape, r) + extra
+        image = dict(true(shape, r))
+        if r == 2:
+            key = tuple(sorted(shape + (2,), reverse=True))
+            image[key] = image.get(key, 0) + 1
+        return image
 
     # a patched step is a new sweep key, so the faulty images get their own memo
     monkeypatch.setattr(families, "_omega_step", planted)

@@ -511,7 +511,8 @@ def test_horizontal_strips_are_every_strip_of_their_size_in_increasing_order():
             for r in range(5):
                 want = sorted(gamma for gamma in partitions_of(n + r)
                               if contains(gamma, beta) and is_horizontal_strip(gamma, beta))
-                assert _horizontal_strips(beta, r) == tuple((gamma, 1) for gamma in want), (beta, r)
+                got = list(_horizontal_strips(beta, r).items())
+                assert got == [(gamma, 1) for gamma in want], (beta, r)
 
 
 @pytest.mark.parametrize("step, read", [
@@ -545,13 +546,58 @@ def test_a_kept_weight_reads_back_the_walked_states(fresh_sweeps):
 
 def test_sweep_walks_long_weights_without_recursion(fresh_sweeps):
     def stay(shape, r):
-        return ((shape, 1),)
+        return {shape: 1}
 
     # longer than the default recursion limit, both as kept prefixes and as
     # the unkept tail after an ascent
     assert sweep((2,) * 1500, stay) == {(): 1}
     assert sweep((1,) + (2,) * 3000, stay) == {(): 1}
     assert len(tableaux._PREFIXES[(stay, ())]) == 1502
+
+
+def test_one_sparse_map_accumulates_table_rows():
+    """No function but _linear sums a keyed table row into a dict in a nested loop.
+
+    The pattern is d[key] = d.get(key, 0) + ..., or the same through a bound
+    get, in a for loop inside another.  SymFunc.__mul__ keeps its own double
+    loops over pairs of terms: one dict per pair through _linear is slower.
+    """
+    import ast
+    from pathlib import Path
+
+    def accumulates(stmt):
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Subscript)
+                and isinstance(stmt.value, ast.BinOp) and isinstance(stmt.value.op, ast.Add)):
+            return False
+        read = stmt.value.left
+        return (isinstance(read, ast.Call) and len(read.args) == 2
+                and isinstance(read.args[1], ast.Constant) and read.args[1].value == 0
+                and ast.dump(read.args[0]) == ast.dump(stmt.targets[0].slice)
+                and (getattr(read.func, "attr", None) == "get"
+                     or isinstance(read.func, ast.Name)))
+
+    def offends(fn):
+        return any(
+            accumulates(stmt)
+            for outer in ast.walk(fn) if isinstance(outer, ast.For)
+            for inner in ast.walk(outer) if isinstance(inner, ast.For) and inner is not outer
+            for stmt in ast.walk(inner)
+        )
+
+    found = set()
+    for path in Path(tableaux.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(f"{node.name}.{sub.name}", sub)
+                       for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            found.update(f"{path.stem}.{name}" for name, fn in fns if offends(fn))
+    assert found == {"tableaux._linear", "symfunc.SymFunc.__mul__"}
 
 
 def test_direct_definition_agrees_with_chains():
