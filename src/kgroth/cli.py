@@ -4,14 +4,24 @@ Exit codes: 0 success (and every check passing), 1 internal error or a
 failing verification, 2 invalid input.  A reader that closes stdout early
 gets exit 1 with nothing on stderr.  Data goes to stdout, diagnostics to
 stderr; identical invocations produce byte-identical stdout.
+
+Each verb's arguments are declared once, in `VERBS`.  `build_parser` builds
+the argparse tree from that table, and it is the only code that imports
+argparse.  A plain line, a verb followed by its exact long options each given
+once, with no value starting with "-", is read by `_parse_plain` into the
+namespace argparse would return.  Every other line (help, abbreviations,
+--opt=value, negative numbers, bad or missing arguments) falls back to
+argparse, so its messages and exit codes are argparse's.  A plain request
+then never imports argparse, which with building its parsers costs 4-5 ms
+of each call's start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import families, kostka
 from .partitions import check_partition, degree, is_k_bounded
@@ -105,7 +115,10 @@ def _emit(args, payload: dict, text: str) -> None:
 def _emit_expansion(args, payload: dict, title: str, coeffs: dict, basis: str, tail=()) -> None:
     """Emit payload with coeffs as its terms, or coeffs as text under title and above tail."""
     ordered = sorted(coeffs.items(), key=lambda t: (degree(t[0]), t[0]))
-    payload["terms"] = [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
+    if args.format == "json":
+        payload["terms"] = [{"partition": list(lam), "coeff": c} for lam, c in ordered if c]
+        _emit(args, payload, "")
+        return
     lines = [title]
     if not ordered:
         lines.append("  0")
@@ -174,10 +187,12 @@ def cmd_tableaux(args) -> int:
         fillings = [ch.to_filling(alpha) for ch in enumerate_tableaux(lam, alpha, k)]
         fillings.sort(key=lambda t: sorted((c, tuple(sorted(s))) for c, s in t.cells.items()))
         payload["count"] = len(fillings)
-        payload["tableaux"] = [t.to_json_dict() for t in fillings]
-        for idx, t in enumerate(fillings):
-            lines.append(f"[{idx + 1}]")
-            lines.append(t.render(k=k, show_residues=args.residues))
+        if args.format == "json":
+            payload["tableaux"] = [t.to_json_dict() for t in fillings]
+        else:
+            for idx, t in enumerate(fillings):
+                lines.append(f"[{idx + 1}]")
+                lines.append(t.render(k=k, show_residues=args.residues))
     else:
         # a bare count is the DP count: no tableau is built only to be counted
         payload["count"] = count_kostka(lam, alpha, k)
@@ -293,6 +308,116 @@ def cmd_kostka(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# the options every verb takes
+_COMMON = (
+    ("--k", dict(type=int, default=None, help="level parameter k")),
+    ("--deg-max", dict(type=int, default=None, dest="deg_max")),
+    ("--format", dict(choices=("json", "text"), default="text")),
+    ("--cache-dir", dict(default=None, dest="cache_dir")),
+)
+
+# verb -> (help, arguments, defaults).  Each argument is its name and the
+# keywords of its add_argument call, in the order the parser adds them; the
+# defaults are the verb's set_defaults, where fn names the cmd_* function
+VERBS = {
+    "expand": ("expand a family member in a classical basis", (
+        ("--family", dict(choices=FAMILIES, required=True)),
+        ("--partition", dict(required=True)),
+        ("--basis", dict(choices=("m", "h", "e", "s"), default=None)),
+        *_COMMON,
+    ), dict(fn="cmd_expand")),
+    "tableaux": ("count or list tableaux of a shape", (
+        ("--shape", dict(required=True)),
+        ("--weight", dict(default=None)),
+        ("--standard-degree", dict(type=int, default=None, dest="standard_degree")),
+        ("--count", dict(action="store_true", help="count only (default)")),
+        ("--list", dict(action="store_true", help="list the fillings")),
+        ("--residues", dict(action="store_true", help="show residue subscripts in text output")),
+        *_COMMON,
+    ), dict(fn="cmd_tableaux")),
+    "pieri": ("strip expansion of a product", (
+        ("direction", dict(choices=("row", "col"))),
+        ("--partition", dict(required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--strips", dict(action="store_true", help="include the raw strip multiset")),
+        *_COMMON,
+    ), dict(fn="cmd_pieri")),
+    "verify": ("run an identity suite", (
+        ("check", dict(choices=sorted(families.VERIFY_CHECKS))),
+        *_COMMON,
+    ), dict(fn="cmd_verify", k=2, deg_max=6)),
+    "scan": ("scan an open positivity question, reporting findings", (
+        ("conjecture", dict(choices=sorted(families.SCANS))),
+        *_COMMON,
+    ), dict(fn="cmd_scan", k=2, deg_max=6)),
+    "kostka": ("tableau-count matrices and entries", (
+        ("--shape", dict(default=None)),
+        ("--weight", dict(default=None)),
+        *_COMMON,
+    ), dict(fn="cmd_kostka", deg_max=4)),
+}
+
+
+def _dest(name: str, keywords: dict) -> str:
+    """The attribute argparse stores an argument under."""
+    return keywords.get("dest", name.lstrip("-").replace("-", "_"))
+
+
+def _verb_defaults(defaults: dict) -> dict:
+    """A verb's set_defaults, its fn looked up now, so a rebound cmd_* is the one called."""
+    return dict(defaults, fn=globals()[defaults["fn"]])
+
+
+def _parse_plain(argv) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns for a plain line, else None.
+
+    A plain line is a verb, then that verb's arguments, each given once: its
+    positional, if it has one, and options by their exact names, every
+    required one among them.  Each option but a store_true flag takes one
+    value that does not start with "-".  Every other line (help,
+    abbreviations, --opt=value, a value starting with "-", a bad choice or
+    integer, a missing, repeated or unknown argument) returns None, and
+    argparse reads it, with its own messages and exit codes.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    _, arguments, defaults = VERBS[argv[0]]
+    spec = dict(arguments)
+    positional = next((name for name in spec if not name.startswith("-")), None)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, value = token, True
+        if not token.startswith("-"):
+            name, value = positional, token
+        elif token not in spec:
+            return None
+        elif spec[token].get("action") != "store_true":
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if name is None or name in given:
+            return None
+        keywords = spec[name]
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[name] = value
+    if any(name not in given for name, keywords in arguments
+           if keywords.get("required") or name == positional):
+        return None
+    values = {"command": argv[0]}
+    for name, keywords in arguments:
+        flag = keywords.get("action") == "store_true"
+        values[_dest(name, keywords)] = False if flag else keywords.get("default")
+    values.update(_verb_defaults(defaults))
+    values.update((_dest(name, spec[name]), value) for name, value in given.items())
+    return SimpleNamespace(**values)
+
 
 def _terminal_columns() -> int:
     """The width shutil.get_terminal_size reports: COLUMNS, else the terminal's, else 80."""
@@ -308,83 +433,42 @@ def _terminal_columns() -> int:
     return columns or 80
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, with the width read without importing shutil.
-
-    argparse imports shutil for the width as soon as the first argument is
-    added, and with what shutil imports that costs every call about 4 ms.
-    """
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the VERBS table; it reads every line _parse_plain does not."""
+    import argparse
+
+    class _HelpFormatter(argparse.HelpFormatter):
+        """argparse's formatter, with the width read without importing shutil.
+
+        argparse imports shutil for the width as soon as the first argument is
+        added, and with what shutil imports that costs each parser built about 4 ms.
+        """
+
+        def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+            if width is None:
+                width = _terminal_columns() - 2
+            super().__init__(prog, indent_increment, max_help_position, width)
+
     parser = argparse.ArgumentParser(
         prog="kgroth",
         description="Exact combinatorics of cores, affine set-valued tableaux and their polynomial families",
         formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def verb(name, help):
-        return sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
-
-    def common(p):
-        p.add_argument("--k", type=int, default=None, help="level parameter k")
-        p.add_argument("--deg-max", type=int, default=None, dest="deg_max")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--cache-dir", default=None, dest="cache_dir")
-
-    p = verb("expand", "expand a family member in a classical basis")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--basis", choices=("m", "h", "e", "s"), default=None)
-    common(p)
-    p.set_defaults(fn=cmd_expand)
-
-    p = verb("tableaux", "count or list tableaux of a shape")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--weight", default=None)
-    p.add_argument("--standard-degree", type=int, default=None, dest="standard_degree")
-    p.add_argument("--count", action="store_true", help="count only (default)")
-    p.add_argument("--list", action="store_true", help="list the fillings")
-    p.add_argument("--residues", action="store_true", help="show residue subscripts in text output")
-    common(p)
-    p.set_defaults(fn=cmd_tableaux)
-
-    p = verb("pieri", "strip expansion of a product")
-    p.add_argument("direction", choices=("row", "col"))
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--strips", action="store_true", help="include the raw strip multiset")
-    common(p)
-    p.set_defaults(fn=cmd_pieri)
-
-    p = verb("verify", "run an identity suite")
-    p.add_argument("check", choices=sorted(families.VERIFY_CHECKS))
-    common(p)
-    p.set_defaults(fn=cmd_verify, k=2, deg_max=6)
-
-    p = verb("scan", "scan an open positivity question, reporting findings")
-    p.add_argument("conjecture", choices=sorted(families.SCANS))
-    common(p)
-    p.set_defaults(fn=cmd_scan, k=2, deg_max=6)
-
-    p = verb("kostka", "tableau-count matrices and entries")
-    p.add_argument("--shape", default=None)
-    p.add_argument("--weight", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_kostka, deg_max=4)
-
+    for verb, (summary, arguments, defaults) in VERBS.items():
+        p = sub.add_parser(verb, help=summary, formatter_class=_HelpFormatter)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(**_verb_defaults(defaults))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if getattr(args, "cache_dir", None) is None:
         args.cache_dir = os.environ.get("KGROTH_CACHE_DIR") or None
     try:

@@ -93,10 +93,17 @@ def test_tableaux_zero_parts_are_stripped(capsys):
     assert with_zeros["count"] == without["count"]
 
 
-def test_tableaux_listing(capsys):
-    code, doc, _ = run_json(
-        capsys, "tableaux", "--shape", "2", "--weight", "2,1", "--k", "2", "--list"
-    )
+def test_tableaux_listing(capsys, monkeypatch):
+    from kgroth.tableaux import SetValuedFilling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON listing rendered a tableau as text")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SetValuedFilling, "render", refuse)
+        code, doc, _ = run_json(
+            capsys, "tableaux", "--shape", "2", "--weight", "2,1", "--k", "2", "--list"
+        )
     assert code == 0 and doc["count"] == 1
     for t in doc["tableaux"]:
         jsonschema.validate(t, FILLING_SCHEMA)
@@ -545,9 +552,10 @@ def test_import_leaves_out_unused_stdlib(tmp_path):
     # every CLI call is a fresh process, so what importing kgroth.cli pulls in
     # is paid on each call; these modules cost a third of it and go unused.
     # Requests are checked too: argparse imports shutil for the terminal width,
-    # and shutil brings bz2 and lzma, unless the parser's formatter reads it
+    # and shutil brings bz2 and lzma, unless the parser's formatter reads it;
+    # and a plain request is read without argparse, which brings gettext
     heavy = ("dataclasses", "inspect", "ast", "dis", "tempfile", "shutil", "random", "bz2",
-             "lzma")
+             "lzma", "argparse", "gettext")
     requests = [
         ["pieri", "row", "--partition", "2,1", "--k", "2", "--r", "1", "--strips"],
         ["expand", "--family", "Gk", "--partition", "2,1", "--k", "2", "--deg-max", "4",
@@ -566,6 +574,122 @@ def test_import_leaves_out_unused_stdlib(tmp_path):
                          text=True, check=True).stderr
     assert err.strip() == "[[], [], []]"
     assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+
+def _valid_groups(rng, arguments) -> list[list[str]]:
+    """One verb's arguments as token groups with valid values: every required
+    one and the positional, about half of the others, in shuffled order."""
+    groups = []
+    for name, keywords in arguments:
+        required = keywords.get("required") or not name.startswith("-")
+        if not required and rng.random() < 0.5:
+            continue
+        if keywords.get("action") == "store_true":
+            groups.append([name])
+            continue
+        if "choices" in keywords:
+            value = rng.choice(sorted(keywords["choices"]))
+        elif "type" in keywords:
+            value = rng.choice(["0", "3", "12", "07", " 4"])
+        else:
+            value = rng.choice(["3,2,1", "2,1", "", "1,1,1"])
+        groups.append([value] if not name.startswith("-") else [name, value])
+    rng.shuffle(groups)
+    return groups
+
+
+def _mutations(rng, verb, arguments, groups) -> list[list[str]]:
+    """Lines argparse reads otherwise than a plain line: repeats, abbreviations,
+    = forms, missing required arguments, bad values, extra positionals, help."""
+    options = [g for g in groups if g[0].startswith("-")]
+    valued = [g for g in options if len(g) == 2]
+    spec = dict(arguments)
+    out = []
+
+    def line(parts):
+        return [verb, *(token for part in parts for token in part)]
+
+    def replaced(old, new):
+        return line([new if g is old else g for g in groups])
+
+    for g in options:
+        out.append(line(groups + [g]))
+        out.append(replaced(g, [g[0][:rng.randrange(2, len(g[0]))], *g[1:]]))
+        if spec[g[0]].get("required"):
+            out.append(line([h for h in groups if h is not g]))
+    for g in valued:
+        keywords = spec[g[0]]
+        out.append(replaced(g, [f"{g[0]}={g[1]}"]))
+        out.append(replaced(g, [g[0], "-2"]))
+        out.append(replaced(g, [g[0], "-x"]))
+        out.append(line([h for h in groups if h is not g] + [[g[0]]]))
+        if "choices" in keywords:
+            out.append(replaced(g, [g[0], "bogus"]))
+        if "type" in keywords:
+            out.append(replaced(g, [g[0], rng.choice(["x", "1.5", "", "2,1"])]))
+    positional = [g for g in groups if not g[0].startswith("-")]
+    for g in positional:
+        out.append(line([h for h in groups if h is not g]))
+        out.append(replaced(g, ["bogus"]))
+        out.append(replaced(g, [g[0][:-1]]))
+    out.append(line(groups + [positional[0] if positional else ["extra"]]))
+    at = rng.randrange(len(groups) + 1)
+    for token in ("-h", "--help", "--", "--bogus", "-k"):
+        out.append(line(groups[:at] + [[token]] + groups[at:]))
+    out.append(line(groups + [["--bogus", "1"]]))
+    out.append([verb[:-1], *line(groups)[1:]])
+    out.append(["-h", *line(groups)])
+    return out
+
+
+def test_plain_parser_agrees_with_argparse():
+    # a plain line reads exactly as argparse reads it; every other line, whether
+    # argparse accepts it, rejects it or answers it with help, goes to argparse
+    import random
+
+    from kgroth import cli
+
+    parser = cli.build_parser()
+    rng = random.Random(0)
+    corpus = [[], ["bogus"]]
+    for _ in range(30):
+        for verb, (_, arguments, _) in cli.VERBS.items():
+            groups = _valid_groups(rng, arguments)
+            argv = [verb, *(token for g in groups for token in g)]
+            assert vars(cli._parse_plain(argv)) == vars(parser.parse_args(argv)), argv
+            corpus.extend(_mutations(rng, verb, arguments, groups))
+    for argv in corpus:
+        assert cli._parse_plain(argv) is None, argv
+
+
+def test_every_benchmark_request_is_a_plain_line(tmp_path):
+    import importlib.util
+
+    from kgroth import cli
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    extra = {"cli-oneshot": [], "kostka-cache": ["--cache-dir", str(tmp_path)]}
+    requests = [argv + extra[w] for w, argv in workloads.catalog() if w in extra]
+    assert {argv[0] for argv in requests} == set(cli.VERBS)
+    parser = cli.build_parser()
+    for argv in requests:
+        fast = cli._parse_plain(argv)
+        assert fast is not None and vars(fast) == vars(parser.parse_args(argv)), argv
+
+
+def test_a_plain_line_calls_the_command_bound_at_call_time(monkeypatch):
+    # the traced benchmark run rebinds cli.cmd_* and must see its own wrapper called
+    from kgroth import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_expand", lambda args: seen.append(args.partition) or 0)
+    argv = ["expand", "--family", "gk", "--partition", "2,1", "--k", "2"]
+    assert cli._parse_plain(argv).fn is cli.cmd_expand
+    assert cli.main(argv) == 0 and seen == ["2,1"]
 
 
 # SHA-256 of stdout (help) or stderr (usage error) with COLUMNS unset or 50 and
