@@ -310,10 +310,10 @@ def cmd_kostka(args) -> int:
 
 # the options every verb takes
 _COMMON = (
-    ("--k", dict(type=int, default=None, help="level parameter k")),
-    ("--deg-max", dict(type=int, default=None, dest="deg_max")),
+    ("--k", dict(type=int, help="level parameter k")),
+    ("--deg-max", dict(type=int)),
     ("--format", dict(choices=("json", "text"), default="text")),
-    ("--cache-dir", dict(default=None, dest="cache_dir")),
+    ("--cache-dir", dict()),
 )
 
 # verb -> (help, arguments, defaults).  Each argument is its name and the
@@ -323,13 +323,13 @@ VERBS = {
     "expand": ("expand a family member in a classical basis", (
         ("--family", dict(choices=FAMILIES, required=True)),
         ("--partition", dict(required=True)),
-        ("--basis", dict(choices=("m", "h", "e", "s"), default=None)),
+        ("--basis", dict(choices=("m", "h", "e", "s"))),
         *_COMMON,
     ), dict(fn="cmd_expand")),
     "tableaux": ("count or list tableaux of a shape", (
         ("--shape", dict(required=True)),
-        ("--weight", dict(default=None)),
-        ("--standard-degree", dict(type=int, default=None, dest="standard_degree")),
+        ("--weight", dict()),
+        ("--standard-degree", dict(type=int)),
         ("--count", dict(action="store_true", help="count only (default)")),
         ("--list", dict(action="store_true", help="list the fillings")),
         ("--residues", dict(action="store_true", help="show residue subscripts in text output")),
@@ -351,16 +351,16 @@ VERBS = {
         *_COMMON,
     ), dict(fn="cmd_scan", k=2, deg_max=6)),
     "kostka": ("tableau-count matrices and entries", (
-        ("--shape", dict(default=None)),
-        ("--weight", dict(default=None)),
+        ("--shape", dict()),
+        ("--weight", dict()),
         *_COMMON,
     ), dict(fn="cmd_kostka", deg_max=4)),
 }
 
 
-def _dest(name: str, keywords: dict) -> str:
+def _dest(name: str) -> str:
     """The attribute argparse stores an argument under."""
-    return keywords.get("dest", name.lstrip("-").replace("-", "_"))
+    return name.lstrip("-").replace("-", "_")
 
 
 def _verb_defaults(defaults: dict) -> dict:
@@ -413,50 +413,23 @@ def _parse_plain(argv) -> SimpleNamespace | None:
     values = {"command": argv[0]}
     for name, keywords in arguments:
         flag = keywords.get("action") == "store_true"
-        values[_dest(name, keywords)] = False if flag else keywords.get("default")
+        values[_dest(name)] = False if flag else keywords.get("default")
     values.update(_verb_defaults(defaults))
-    values.update((_dest(name, spec[name]), value) for name, value in given.items())
+    values.update((_dest(name), value) for name, value in given.items())
     return SimpleNamespace(**values)
-
-
-def _terminal_columns() -> int:
-    """The width shutil.get_terminal_size reports: COLUMNS, else the terminal's, else 80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of the VERBS table; it reads every line _parse_plain does not."""
     import argparse
 
-    class _HelpFormatter(argparse.HelpFormatter):
-        """argparse's formatter, with the width read without importing shutil.
-
-        argparse imports shutil for the width as soon as the first argument is
-        added, and with what shutil imports that costs each parser built about 4 ms.
-        """
-
-        def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-            if width is None:
-                width = _terminal_columns() - 2
-            super().__init__(prog, indent_increment, max_help_position, width)
-
     parser = argparse.ArgumentParser(
         prog="kgroth",
         description="Exact combinatorics of cores, affine set-valued tableaux and their polynomial families",
-        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, (summary, arguments, defaults) in VERBS.items():
-        p = sub.add_parser(verb, help=summary, formatter_class=_HelpFormatter)
+        p = sub.add_parser(verb, help=summary)
         for name, keywords in arguments:
             p.add_argument(name, **keywords)
         p.set_defaults(**_verb_defaults(defaults))

@@ -195,11 +195,6 @@ def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...
                         if (c - 1 - r) % p == i and (r == n - 1 or shape[r + 1] < c))
 
 
-# Most cores are built by the library itself, from tuples, and the same few
-# shapes recur across the sweeps, so the check is memoized per (shape, k).
-_check_core_tuple = cache(_check_core)
-
-
 class Core(Record):
     """A (k+1)-core: partition shape with no hook of length k+1.
 
@@ -210,11 +205,7 @@ class Core(Record):
     __slots__ = ("shape", "k")
 
     def __init__(self, shape: tuple[int, ...], k: int):
-        if type(shape) is tuple:
-            shape = _check_core_tuple(shape, k)
-        else:
-            shape = _check_core(shape, k)
-        _set(self, "shape", shape)
+        _set(self, "shape", _check_core(shape, k))
         _set(self, "k", k)
 
     def to_bounded(self) -> tuple[int, ...]:

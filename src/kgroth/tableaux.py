@@ -231,8 +231,7 @@ def gamma_blocked(cell: Cell, gamma: tuple[int, ...]) -> bool:
 
 @cache
 def _strip_transitions(beta_shape: tuple[int, ...], r: int, k: int):
-    """All (gamma_shape, rho) reachable from beta by one marked block of size r."""
-    Core(beta_shape, k)  # rejects a shape that is not a (k+1)-core
+    """All (gamma_shape, rho) reachable from the (k+1)-core beta by one marked block of size r."""
     out = []
     for gamma, touched, _ in _alive_blocks(beta_shape, r, k):
         rows = list(gamma)

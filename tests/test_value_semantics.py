@@ -153,6 +153,8 @@ def test_construction_still_validates():
     with pytest.raises(ValueError):
         Core((2, 1), 2)
     with pytest.raises(ValueError):
+        Core([2, 1], 2)
+    with pytest.raises(ValueError):
         ResidueWord((3,), 2)
     with pytest.raises(ValueError):
         SymFunc("x")
