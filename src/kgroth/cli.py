@@ -95,8 +95,10 @@ def _check_integers(args) -> None:
 
 
 def _cache_dir(args) -> str | None:
-    """The cache dir path, made if missing; a regular file in its way is bad input."""
+    """--cache-dir, else KGROTH_CACHE_DIR, made if missing; a file in its way is bad input."""
     path = args.cache_dir
+    if path is None:
+        path = os.environ.get("KGROTH_CACHE_DIR")
     if path:
         try:
             os.makedirs(path, exist_ok=True)
@@ -145,8 +147,8 @@ def cmd_expand(args) -> int:
             raise InputError(f"--deg-max {deg_max} is below the degree of {lam}")
         # a cached matrix serves the affine series; the finite families need only
         # weights up to |lam|, which sweep faster than a whole matrix loads
-        if args.cache_dir and affine:
-            kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
+        if affine and (cache_dir := _cache_dir(args)):
+            kostka.build_affine_kostka(k, deg_max, cache_dir)
     f = member(lam, k, deg_max)
     if not series and deg_max is not None:
         f = f.truncate(deg_max)
@@ -308,13 +310,11 @@ def cmd_kostka(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-# the options every verb takes
-_COMMON = (
-    ("--k", dict(type=int, help="level parameter k")),
-    ("--deg-max", dict(type=int)),
-    ("--format", dict(choices=("json", "text"), default="text")),
-    ("--cache-dir", dict()),
-)
+# the options more than one verb reads; each verb lists those its cmd_* reads
+_K = ("--k", dict(type=int, help="level parameter k"))
+_DEG_MAX = ("--deg-max", dict(type=int))
+_FORMAT = ("--format", dict(choices=("json", "text"), default="text"))
+_CACHE_DIR = ("--cache-dir", dict())
 
 # verb -> (help, arguments, defaults).  Each argument is its name and the
 # keywords of its add_argument call, in the order the parser adds them; the
@@ -324,36 +324,35 @@ VERBS = {
         ("--family", dict(choices=FAMILIES, required=True)),
         ("--partition", dict(required=True)),
         ("--basis", dict(choices=("m", "h", "e", "s"))),
-        *_COMMON,
+        _K, _DEG_MAX, _FORMAT, _CACHE_DIR,
     ), dict(fn="cmd_expand")),
     "tableaux": ("count or list tableaux of a shape", (
         ("--shape", dict(required=True)),
         ("--weight", dict()),
         ("--standard-degree", dict(type=int)),
-        ("--count", dict(action="store_true", help="count only (default)")),
         ("--list", dict(action="store_true", help="list the fillings")),
         ("--residues", dict(action="store_true", help="show residue subscripts in text output")),
-        *_COMMON,
+        _K, _FORMAT,
     ), dict(fn="cmd_tableaux")),
     "pieri": ("strip expansion of a product", (
         ("direction", dict(choices=("row", "col"))),
         ("--partition", dict(required=True)),
         ("--r", dict(type=int, required=True)),
         ("--strips", dict(action="store_true", help="include the raw strip multiset")),
-        *_COMMON,
+        _K, _FORMAT,
     ), dict(fn="cmd_pieri")),
     "verify": ("run an identity suite", (
         ("check", dict(choices=sorted(families.VERIFY_CHECKS))),
-        *_COMMON,
+        _K, _DEG_MAX, _FORMAT,
     ), dict(fn="cmd_verify", k=2, deg_max=6)),
     "scan": ("scan an open positivity question, reporting findings", (
         ("conjecture", dict(choices=sorted(families.SCANS))),
-        *_COMMON,
+        _K, _DEG_MAX, _FORMAT,
     ), dict(fn="cmd_scan", k=2, deg_max=6)),
     "kostka": ("tableau-count matrices and entries", (
         ("--shape", dict()),
         ("--weight", dict()),
-        *_COMMON,
+        _K, _DEG_MAX, _FORMAT, _CACHE_DIR,
     ), dict(fn="cmd_kostka", deg_max=4)),
 }
 
@@ -442,8 +441,6 @@ def main(argv=None) -> int:
     args = _parse_plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    if getattr(args, "cache_dir", None) is None:
-        args.cache_dir = os.environ.get("KGROTH_CACHE_DIR") or None
     try:
         _check_integers(args)
         code = args.fn(args)

@@ -87,7 +87,6 @@ def dual_grothendieck(lam) -> SymFunc:
     return _solve_h(check_partition(lam), classical_kostka_column)
 
 
-@cache
 def grothendieck(lam, deg_max: int) -> SymFunc:
     """Monomial expansion of the stable Grothendieck polynomial, truncated."""
     lam = check_partition(lam)
@@ -117,7 +116,6 @@ def k_schur(lam, k: int) -> SymFunc:
     return _solve_h(lam, top_column)
 
 
-@cache
 def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
     lam = check_bounded(lam, k)

@@ -293,7 +293,6 @@ def _multinomial(ns: list[int]) -> int:
 # transition coefficients
 
 
-@cache
 def _s_in_m(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Row lam of the Kostka matrix: s_lam = sum_mu K(lam, mu) m_mu.
 

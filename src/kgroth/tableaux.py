@@ -61,13 +61,6 @@ class SetValuedFilling(Record):
         _set(self, "shape", shape)
         _set(self, "cells", norm)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetValuedFilling)
-            and self.shape == other.shape
-            and self.cells == other.cells
-        )
-
     def __hash__(self):
         return hash((self.shape, tuple(sorted((c, tuple(sorted(s))) for c, s in self.cells.items()))))
 

@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 def empty_kostka_cache():
     """No affine column held in memory before the test, and none left after it.
 
-    The memoized series members read their columns, so they are forgotten too.
+    The memoized affine series G^(k) reads the columns, so it is forgotten too.
     """
     from kgroth import families, kostka, tableaux
 
@@ -18,7 +18,6 @@ def empty_kostka_cache():
         tableaux._PREFIXES.clear()
         kostka._column.cache_clear()
         families.affine_grothendieck.cache_clear()
-        families.dual_k_schur.cache_clear()
 
     forget()
     yield

@@ -501,10 +501,51 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
 
 
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch, empty_kostka_cache):
-    monkeypatch.setenv("KGROTH_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_json(capsys, "kostka", "--k", "2", "--deg-max", "2")
-    assert code == 0
-    assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+    for argv in (["kostka", "--k", "2", "--deg-max", "2"],
+                 ["expand", "--family", "Gk", "--partition", "1", "--k", "2", "--deg-max", "2"]):
+        path = tmp_path / argv[0]
+        monkeypatch.setenv("KGROTH_CACHE_DIR", str(path))
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert any(p.suffix == ".json" for p in path.iterdir()), argv
+
+
+def test_cache_dir_from_environment_is_read_only_where_a_matrix_is_cached(tmp_path, capsys,
+                                                                         monkeypatch):
+    path = tmp_path / "D"
+    monkeypatch.setenv("KGROTH_CACHE_DIR", str(path))
+    for argv in (["verify", "duality", "--k", "2", "--deg-max", "4"],
+                 ["scan", "kss-cancellation", "--k", "2", "--deg-max", "4"],
+                 ["pieri", "row", "--partition", "2,1", "--r", "1", "--k", "2"],
+                 ["tableaux", "--shape", "2,1", "--weight", "2,1", "--k", "2"],
+                 ["expand", "--family", "gk", "--partition", "2,1", "--k", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert not path.exists(), argv
+
+
+# a valid line of each verb that reads neither --deg-max nor --cache-dir
+_LINES_WITHOUT_A_CACHE = {
+    "tableaux": ["tableaux", "--shape", "2,1", "--weight", "2,1", "--k", "2"],
+    "pieri": ["pieri", "row", "--partition", "2,1", "--r", "1", "--k", "2"],
+    "verify": ["verify", "duality"],
+    "scan": ["scan", "kss-cancellation"],
+}
+
+
+@pytest.mark.parametrize("verb, option", [
+    ("tableaux", "--count"), ("tableaux", "--deg-max"), ("tableaux", "--cache-dir"),
+    ("pieri", "--deg-max"), ("pieri", "--cache-dir"), ("verify", "--cache-dir"),
+    ("scan", "--cache-dir"),
+])
+def test_an_option_the_verb_does_not_read_exits_2(verb, option, tmp_path, capsys):
+    path = tmp_path / "D"
+    value = {"--count": [], "--deg-max": ["3"], "--cache-dir": [str(path)]}[option]
+    with pytest.raises(SystemExit) as exc:
+        main([*_LINES_WITHOUT_A_CACHE[verb], option, *value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join([option, *value])}" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
@@ -705,6 +746,11 @@ HELP_SHA256 = {
     ("expand --help", None): "ab4ef5ad236ce92e4ef2457e8482d5a36c802a9b47137617940de794f8a51da8",
     ("expand --help", "50"): "fb8df485d7fb2d749ddfe2d84982ea5cf50941cb333036a5d5d9c17a61468e58",
     ("expand --family x", None): "83e0416008ee4ac42b887c8d81bc54db669ac208685ccf765cbcc983e70cf722",
+    ("tableaux --help", None): "1491e5c792c7d77eb641ad290c5c861415d410e19f15cde8118666650fb75997",
+    ("pieri --help", None): "984f251c3cf6a75074bf227d5438c472413f53725cc02122afaf002d0e5109eb",
+    ("verify --help", None): "aa88908734ada7eec9f5a3174b52c616dc1f65ff95681c6195eef9c939dbbd39",
+    ("scan --help", None): "a362c0ada4bd735ab90edbe212012157d0207da713aa369aa92014a52f1e8102",
+    ("kostka --help", None): "5225a0e363fd944d7265c8bc61ee9260c5e4993b8f4f14d9c26b83cbb32a9cfd",
 }
 
 

@@ -252,8 +252,7 @@ def test_reduction_G_reports_a_series_without_its_lowest_term(monkeypatch, empty
         coeffs = true(lam, *rest)
         return {mu: c for mu, c in coeffs.items() if mu != lam} if lam == (2, 1) else coeffs
 
-    for member in (families.affine_grothendieck, families.dual_k_schur):
-        member.cache_clear()
+    families.affine_grothendieck.cache_clear()
     monkeypatch.setattr(families, "_series", planted)
     res = verify_reduction_G(2, 4)
     assert res.instances == instances
@@ -669,8 +668,7 @@ def test_scan_findings_are_pinned(name, planted, monkeypatch):
     import kgroth.families as families
 
     def forget():
-        for member in (families.kkschur, families.k_schur, families.dual_k_schur,
-                       families.affine_grothendieck):
+        for member in (families.kkschur, families.k_schur, families.affine_grothendieck):
             member.cache_clear()
 
     for attr, plant in planted:
