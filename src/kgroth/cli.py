@@ -140,6 +140,8 @@ def cmd_expand(args) -> int:
     default_basis, affine, series, member = FAMILIES[family]
     if affine:
         _require_bounded(_needs_k(args, f"family {family}"), lam)
+    elif k is not None:
+        raise InputError(f"family {family} takes no --k")
     if series:
         if deg_max is None:
             deg_max = degree(lam) + 4

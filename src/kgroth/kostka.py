@@ -165,11 +165,13 @@ def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
     index_of = {lam: i for i, lam in enumerate(parts)}.__getitem__
     flats = []
     for mu in parts:
-        # the shape indices sort as the shapes do, and as plain ints faster
+        # the shape indices sort as the shapes do, and as plain ints faster;
+        # the flat list takes them and their counts by slice, in alternation
         col = matrix.columns[mu]
-        flat: list[int] = []
-        for i in sorted(map(index_of, col)):
-            flat += (i, col[parts[i]])
+        indices = sorted(map(index_of, col))
+        flat = [0] * (2 * len(indices))
+        flat[::2] = indices
+        flat[1::2] = map(col.__getitem__, map(parts.__getitem__, indices))
         flats.append(flat)
     payload = {
         "format_version": FORMAT_VERSION,

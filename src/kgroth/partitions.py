@@ -9,7 +9,7 @@ is (col - row) mod (k+1) with zeros on the main diagonal.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
+from operator import add, ge
 
 Cell = tuple[int, int]
 
@@ -167,32 +167,39 @@ def _check_core(shape, k: int) -> tuple[int, ...]:
 
 
 @cache
-def _corner_step(shape: tuple[int, ...], k: int, i: int) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
-    """The corner step of letter i on a (k+1)-core: the shape after it and the cells it touches.
+def _corner_step(shape: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[Cell, ...]], ...]:
+    """The corner step of every letter on a (k+1)-core, indexed by the letter.
 
-    Adds every addable i-corner when there is one; otherwise the shape stays
+    Entry i is the shape after letter i and the cells it touches.  Letter i
+    adds every addable i-corner when there is one; otherwise the shape stays
     and its removable i-corners are marked.  No touched cell means there is
     neither kind of i-corner: the letter is dead on this core.  Cells come
-    bottom row first.  This is the one letter rule: bounded_to_core, word
-    evaluation and the block walk behind the strip transitions and the
-    factorizations all step shape tuples through it.
+    bottom row first.  One read of the rows fills the table for all k+1
+    letters.  This is the one letter rule: bounded_to_core, word evaluation
+    and the block walk behind the strip transitions and the factorizations
+    all step shape tuples by indexing it.
     """
     p = k + 1
-    i %= p
     n = len(shape)
-    # the addable corners of residue i, then (when there are none) the removable ones
-    added = [(r, c) for r, c in enumerate(shape)
-             if (c - r) % p == i and (r == 0 or shape[r - 1] > c)]
-    if -n % p == i:
-        added.append((n, 0))
-    if added:
-        # distinct addable corners, at most one per row: each grows its row by one
-        rows = [*shape, 0]
-        for r, _ in added:
-            rows[r] += 1
-        return tuple(filter(None, rows)), tuple(added)
-    return shape, tuple((r, c - 1) for r, c in enumerate(shape)
-                        if (c - 1 - r) % p == i and (r == n - 1 or shape[r + 1] < c))
+    added: list[list[Cell]] = [[] for _ in range(p)]
+    removed: list[list[Cell]] = [[] for _ in range(p)]
+    for r, c in enumerate(shape):
+        if r == 0 or shape[r - 1] > c:
+            added[(c - r) % p].append((r, c))
+        if r == n - 1 or shape[r + 1] < c:
+            removed[(c - 1 - r) % p].append((r, c - 1))
+    added[-n % p].append((n, 0))
+    table = []
+    for cells, corners in zip(added, removed):
+        if cells:
+            # distinct addable corners, at most one per row: each grows its row by one
+            rows = [*shape, 0]
+            for r, _ in cells:
+                rows[r] += 1
+            table.append((tuple(filter(None, rows)), tuple(cells)))
+        else:
+            table.append((shape, tuple(corners)))
+    return tuple(table)
 
 
 class Core(Record):
@@ -214,6 +221,10 @@ class Core(Record):
 
     def conjugate(self) -> "Core":
         return Core(conjugate(self.shape), self.k)
+
+
+# per (lam, k), the (k+1)-core core_to_bounded has read with image lam
+_CORE_OF: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
 
 @cache
@@ -238,23 +249,30 @@ def core_to_bounded(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
     lam = tuple(v for v in rows if v > 0)
     # the survivors of a core always read as a partition
     assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)), shape
+    # a core is the only one with its image, so bounded_to_core can take it; a
+    # tuple that is no partition is not kept, as this function does not reject it
+    if all(map(ge, shape, shape[1:])) and min(shape, default=1) > 0:
+        _CORE_OF[lam, k] = shape
     return lam
 
 
 @cache
 def bounded_to_core(lam: tuple[int, ...], k: int) -> Core:
-    """Inverse bijection, built by adding residue corners along lam's word.
+    """Inverse bijection: the core recorded for lam, or one built along lam's word.
 
-    The residues of lam are read right to left, top row down; applying the
-    corner-adding operators in that order to the empty core rebuilds the
-    (k+1)-core whose k-bounded image is lam.  The steps run on plain shapes,
-    and the result is checked once.
+    A walk has usually met the core already, and core_to_bounded recorded
+    it.  Otherwise the residues of lam are read right to left, top row down;
+    applying the corner-adding operators in that order to the empty core
+    rebuilds the (k+1)-core whose k-bounded image is lam.  The steps run on
+    plain shapes, and the result is checked once.
     """
     if not is_k_bounded(lam, k):
         raise ValueError(f"{lam} is not {k}-bounded")
-    shape: tuple[int, ...] = ()
-    for i in reversed(residue_word(lam, k)):
-        shape = _corner_step(shape, k, i)[0]
+    shape = _CORE_OF.get((lam, k))
+    if shape is None:
+        shape = ()
+        for i in reversed(residue_word(lam, k)):
+            shape = _corner_step(shape, k)[i][0]
     return Core(shape, k)
 
 

@@ -331,6 +331,7 @@ def solve_unitriangular(target: dict, column, order) -> dict:
     residual = {key: c for key, c in target.items() if c}
     heap = [(order(key), key) for key in residual]
     heapify(heap)
+    get = residual.get
     out = {}
     while heap:
         rank, key = heappop(heap)
@@ -342,15 +343,17 @@ def solve_unitriangular(target: dict, column, order) -> dict:
             raise ArithmeticError(f"column {key} does not lead with coefficient 1")
         out[key] = c
         for nu, t in col.items():
-            if nu == key:
-                continue
-            if nu not in residual:
+            # one lookup per entry: key itself and every settled key are out of residual
+            old = get(nu)
+            if old is None:
+                if nu == key:
+                    continue
                 nu_rank = order(nu)
                 if nu_rank < rank:
                     raise ArithmeticError(f"column {key} puts back the settled key {nu}")
-                residual[nu] = 0
                 heappush(heap, (nu_rank, nu))
-            residual[nu] -= c * t
+                old = 0
+            residual[nu] = old - c * t
     return out
 
 

@@ -6,9 +6,9 @@ condition is checked literally and its weight conditions are read as one
 table of valid letter blocks.  The strip sets are produced by applying
 cyclically decreasing blocks of marked letters, one subset of residues per
 block, through words._alive_blocks, the one block walk: each block's
-letters step the shape tuple through partitions._corner_step.  A chain is
-filled only where its tableau is listed or compared, each strip from the
-rows of its (gamma, rho).
+letters step the shape tuple by indexing partitions._corner_step, the one
+corner table per core.  A chain is filled only where its tableau is listed
+or compared, each strip from the rows of its (gamma, rho).
 """
 
 from __future__ import annotations

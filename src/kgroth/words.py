@@ -4,10 +4,11 @@ A word is a finite sequence of residues in [0, k].  Words are stored in
 display order: the rightmost letter acts first when the word is evaluated
 on the empty core, matching the convention that reduced words are read
 off a shape from the top row down, right to left.  Every walk here steps
-plain shape tuples through partitions._corner_step, the one letter rule; a
-Core is built only where a public function returns one.  The factorizations
-are tuples of block letter tuples; alpha_factorizations alone builds them
-into Factorization and ResidueWord records.
+plain shape tuples by indexing partitions._corner_step, the one corner
+table per core and the one letter rule; a Core is built only where a public
+function returns one.  The factorizations are tuples of block letter
+tuples; alpha_factorizations alone builds them into Factorization and
+ResidueWord records.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ def evaluate_steps(word: ResidueWord, shape: tuple[int, ...] = ()):
     """Yield (shape_after, cells_receiving_letter) per evaluation step.
 
     Starts from the (k+1)-core shape, the empty core by default.  Each step
-    is _corner_step: it either adds all addable i-corners (the new cells
-    receive the letter) or, failing that, marks all removable i-corners.  If
-    neither kind of corner exists the word is dead.
+    is entry i of the core's _corner_step table: it either adds all addable
+    i-corners (the new cells receive the letter) or, failing that, marks all
+    removable i-corners.  If neither kind of corner exists the word is dead.
     """
     for pos, i in enumerate(reversed(word.letters)):
-        after, touched = _corner_step(shape, word.k, i)
+        after, touched = _corner_step(shape, word.k)[i]
         if not touched:
             raise DeadWordError(
                 f"letter {i} at step {pos + 1} of {word}: no addable or removable {i}-corner on {shape}"
@@ -96,14 +97,13 @@ def evaluate(word: ResidueWord) -> Core:
 def alive_words(n: int, k: int) -> list[ResidueWord]:
     """Every word of length n alive on the empty core, by a walk over its letters.
 
-    Each letter steps each alive prefix's shape through _corner_step; a letter
-    that touches no cell is dead and drops the prefix.
+    Each alive prefix's shape steps by every entry of its _corner_step table;
+    a letter that touches no cell is dead and drops the prefix.
     """
     level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for _ in range(n):
-        steps = ((applied + (i,), _corner_step(shape, k, i))
-                 for applied, shape in level for i in range(k + 1))
-        level = [(applied, after) for applied, (after, touched) in steps if touched]
+        level = [(applied + (i,), after) for applied, shape in level
+                 for i, (after, touched) in enumerate(_corner_step(shape, k)) if touched]
     return [ResidueWord(applied[::-1], k) for applied, _ in level]
 
 
@@ -187,7 +187,7 @@ def _alive_blocks(beta_shape: tuple[int, ...], r: int, k: int):
         gamma = beta_shape
         touched: list[Cell] = []
         for i in letters:
-            gamma, cells = _corner_step(gamma, k, i)
+            gamma, cells = _corner_step(gamma, k)[i]
             if not cells:
                 break
             touched.extend(cells)

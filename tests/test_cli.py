@@ -548,6 +548,25 @@ def test_an_option_the_verb_does_not_read_exits_2(verb, option, tmp_path, capsys
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "G", "--partition", "1", "--k", "3", "--deg-max", "2", "--format", "json"],
+    ["--family", "s", "--partition", "2,1", "--k", "1"],
+    ["--family", "g", "--partition", "2", "--k", "1"],
+], ids=["G", "s", "g"])
+def test_expand_rejects_k_for_a_family_without_a_level(argv, capsys):
+    code, out, err = run_cli(capsys, "expand", *argv)
+    assert (code, out, err) == (2, "", f"error: family {argv[1]} takes no --k\n")
+
+
+def test_expand_accepts_cache_dir_for_every_family(tmp_path, capsys):
+    for family, extra in (("G", ["--deg-max", "2"]), ("g", []), ("s", []), ("gk", ["--k", "2"]),
+                          ("ks", ["--k", "2"]), ("dks", ["--k", "2"]), ("Gk", ["--k", "2"])):
+        argv = ["expand", "--family", family, "--partition", "1", *extra]
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0, family
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path / family)) == want, family
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 @pytest.mark.parametrize("route", ["option", "environment"])
 @pytest.mark.parametrize("argv", [
@@ -880,25 +899,27 @@ def test_degree_60_schur_expansion_reads_one_column(partition, basis, term):
 
 # SHA-256 of the exit code, stdout and stderr of `kgroth expand --family F
 # --partition 2,1 --k 2` with each --basis (none, m, h, e, s), in text and JSON,
-# recorded when each family's traits sat in four tables and an if chain
+# recorded when each family's traits sat in four tables and an if chain.  The
+# families without a level (G, g, s) reject --k, so their lines leave it out
 EXPAND_FAMILY_SHA256 = {
-    "G": "f753bdef1009ea8fa2cf50b46b32449ec578097650b86b3ef72d941a5f7cafc8",
-    "g": "3282c750a1da187e3d8684b4b057ff6f20e6f45331bf5340cd472bd0cab55e27",
+    "G": "c3c1899a12c28b519c716789829cda536c868acdf19812d2b09e31201a5b3da3",
+    "g": "0c996f8ca63c0524ba74a9e580e011327eb98c75da4ced867ecb5e61b6450a1c",
     "Gk": "26fc1efebfff285b928fed31b54b27cba4b6e3c0df5fd55825543ad2096f8e19",
     "gk": "fd679ef78b6ade503e564b5a10afa7ae0f77bee3ea99a7ff541bbb66b20f9503",
     "ks": "f374508f5c1608032308020349639d0d6c8b8fa2d64a5ac8b0f4a14f43dd84dd",
     "dks": "fdad5a8f1c5097efddc8f826d12eebae3cd19c84dde28944ffc276a5125ae3e8",
-    "s": "3ff7223f589906b89be410a4b167d62618618fa6f4e2ad8ef8e1b64a43446e3e",
+    "s": "e6e08c6647dfbde2a7e10403c209ee166779561adea113413c56b5aa198eb554",
 }
 
 
 @pytest.mark.parametrize("family", list(EXPAND_FAMILY_SHA256))
 def test_expand_of_every_family_and_basis_is_pinned(family, capsys):
+    level = ("--k", "2") if family in ("Gk", "gk", "ks", "dks") else ()
     record = []
     for basis in ((), ("--basis", "m"), ("--basis", "h"), ("--basis", "e"), ("--basis", "s")):
         for fmt in ("text", "json"):
             code, out, err = run_cli(capsys, "expand", "--family", family, "--partition", "2,1",
-                                     "--k", "2", *basis, "--format", fmt)
+                                     *level, *basis, "--format", fmt)
             record.append(f"{basis} {fmt} exit {code}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode("ascii")).hexdigest()
     assert digest == EXPAND_FAMILY_SHA256[family]

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from kgroth import families, kostka, tableaux, words
 from kgroth.partitions import (
+    _CORE_OF,
     Core,
     _corner_step,
     bounded_to_core,
@@ -234,7 +235,7 @@ def test_act_adds_the_addable_corners_or_marks_the_removable_ones(k):
         for i in range(k + 1):
             addable = [c for c in addable_corners(core.shape) if residue(c, k) == i]
             removable = [c for c in removable_corners(core.shape) if residue(c, k) == i]
-            after, touched = _corner_step(core.shape, k, i)
+            after, touched = _corner_step(core.shape, k)[i]
             if addable:
                 assert touched == tuple(addable)
                 assert Core(after, k) == Core(add_cells(core.shape, addable), k)
@@ -245,7 +246,7 @@ def test_act_adds_the_addable_corners_or_marks_the_removable_ones(k):
 
 def add_residue(core: Core, i: int) -> Core:
     """The core after letter i: every addable i-corner added, or an equal core."""
-    return Core(_corner_step(core.shape, core.k, i)[0], core.k)
+    return Core(_corner_step(core.shape, core.k)[i][0], core.k)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -291,10 +292,33 @@ def test_conversions_and_strip_steps_match_the_corner_list_oracles(k, deg_max):
         assert core == bounded_to_core_by_corners(lam, k), lam
         assert core_to_bounded(core.shape, k) == core_to_bounded_by_hooks(core.shape, k) == lam
         for i in range(k + 1):
-            assert _corner_step(core.shape, k, i) == corner_step_by_corners(core.shape, k, i)
+            assert _corner_step(core.shape, k)[i] == corner_step_by_corners(core.shape, k, i)
         for r in range(k + 1):
             assert (_strip_transitions(core.shape, r, k)
                     == strip_transitions_by_corners(core.shape, r, k)), (lam, r)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_bounded_to_core_takes_the_cores_the_sweep_recorded(k, empty_kostka_cache):
+    tableaux._affine_steps.cache_clear()
+    core_to_bounded.cache_clear()
+    bounded_to_core.cache_clear()
+    _CORE_OF.clear()
+    for mu in k_bounded_up_to(9, k):
+        tableaux.kostka_column(mu, k)
+    bounded_to_core.cache_clear()
+    for lam in k_bounded_up_to(9, k):
+        # the sweep starts from the empty core and reaches every other as an end core
+        assert not lam or (lam, k) in _CORE_OF, lam
+        assert bounded_to_core(lam, k) == bounded_to_core_by_corners(lam, k), lam
+
+
+def test_core_to_bounded_records_no_core_for_a_shape_that_is_no_partition():
+    core_to_bounded.cache_clear()
+    bounded_to_core.cache_clear()
+    _CORE_OF.clear()
+    assert core_to_bounded((2, 1, 0), 3) == (2, 1)
+    assert bounded_to_core((2, 1), 3) == Core((2, 1), 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])

@@ -192,6 +192,10 @@ def test_solve_unitriangular_rejects_columns_that_break_the_order():
         solve_unitriangular({(2,): 1}, columns.__getitem__, h_order)
     with pytest.raises(ArithmeticError):
         solve_unitriangular({(2,): 1}, {(2,): {(2,): 2}}.__getitem__, h_order)
+    # the column of (2,), read after (1, 1) is settled, must not put (1, 1) back
+    columns = {(1, 1): {(1, 1): 1, (2,): 1}, (2,): {(2,): 1, (1, 1): 1}}
+    with pytest.raises(ArithmeticError, match=r"puts back the settled key \(1, 1\)"):
+        solve_unitriangular({(1, 1): 1}, columns.__getitem__, h_order)
 
 
 def test_omega_symmetry_of_transitions():
