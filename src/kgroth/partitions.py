@@ -233,10 +233,13 @@ def core_to_bounded(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
 
     Hooks strictly grow from right to left along a row, so each row is read
     from its right end up to the first hook above k; that hook being k+1
-    is the one way the shape can fail to be a (k+1)-core.
+    is the one way a partition can fail to be a (k+1)-core.  A tuple that
+    is not a partition raises ValueError before any hook is read.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (all(map(ge, shape, shape[1:])) and min(shape, default=1) > 0):
+        raise ValueError(f"{shape} is not a partition")
     conj = conjugate(shape)
     rows = []
     for i, row in enumerate(shape):
@@ -249,10 +252,8 @@ def core_to_bounded(shape: tuple[int, ...], k: int) -> tuple[int, ...]:
     lam = tuple(v for v in rows if v > 0)
     # the survivors of a core always read as a partition
     assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)), shape
-    # a core is the only one with its image, so bounded_to_core can take it; a
-    # tuple that is no partition is not kept, as this function does not reject it
-    if all(map(ge, shape, shape[1:])) and min(shape, default=1) > 0:
-        _CORE_OF[lam, k] = shape
+    # a core is the only one with its image, so bounded_to_core can take it
+    _CORE_OF[lam, k] = shape
     return lam
 
 

@@ -156,24 +156,17 @@ class SymFunc(Record):
             raise ValueError(f"cannot multiply {self.basis}- and {other.basis}-expansions")
         k = _merge_levels(self.k, other.k)
         bound = _min_bound(self.deg_max, other.deg_max)
-        out: dict[tuple[int, ...], int] = {}
-        if self.basis in ("h", "e"):
-            # h_lam * h_mu = h_(lam + mu), and e alike
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    key = tuple(sorted(a + b, reverse=True))
-                    if bound is not None and degree(key) > bound:
-                        continue
-                    out[key] = out.get(key, 0) + ca * cb
-        elif self.basis == "m":
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    if bound is not None and degree(a) + degree(b) > bound:
-                        continue
-                    for key, mult in _m_mult(a, b).items():
-                        out[key] = out.get(key, 0) + ca * cb * mult
-        else:  # schur: route through the complete homogeneous basis
+        if self.basis == "s":
+            # route through the complete homogeneous basis
             return convert(convert(self, "h") * convert(other, "h"), "s")
+        table = _m_mult if self.basis == "m" else _h_mult
+        out: dict[tuple[int, ...], int] = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                if bound is not None and degree(a) + degree(b) > bound:
+                    continue
+                for key, mult in table(a, b).items():
+                    out[key] = out.get(key, 0) + ca * cb * mult
         return SymFunc(self.basis, out, bound, k)
 
 
@@ -208,7 +201,13 @@ def s(lam=(), coeff: int = 1, deg_max: int | None = None) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# monomial multiplication
+# products of basis elements
+
+
+@cache
+def _h_mult(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """h_lam * h_mu = h_(lam + mu), and e alike: the one key, the parts of both sorted."""
+    return {tuple(sorted(lam + mu, reverse=True)): 1}
 
 
 def distinct_permutations(values: tuple[int, ...]):

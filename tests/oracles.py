@@ -13,7 +13,9 @@ the factorizations are compared with.  The first forms of conjugate, of the
 Pieri rules on Core values and of SymFunc's coefficient normalization stay
 here too, as the references their faster forms are pinned to, and so do the
 re-expansions by a solve against the family's members, with the m-side scans
-as they read them through the package's report builders.
+as they read them through the package's report builders.  Products of
+expansions are multiplied pair by pair, the k-Schur solve refilters its
+columns at every read, and the duality suite pairs every (lam, mu) on its own.
 The few symfunc names used are imported inside the functions that use them.
 """
 
@@ -775,6 +777,27 @@ def m_product_oracle(lam, mu) -> dict[tuple[int, ...], int]:
     return out
 
 
+def product_by_pairs(f, g) -> dict[tuple[int, ...], int]:
+    """Coefficients of f * g for two h-, e- or m-expansions, one pair of terms at a time.
+
+    A pair of h-terms (or e-terms) multiplies to the one term whose key is
+    their concatenated keys sorted; a pair of m-terms to m_product_oracle.
+    Keys above the lesser truncation bound are dropped after the product.
+    """
+    bounds = [b for b in (f.deg_max, g.deg_max) if b is not None]
+    out: dict[tuple[int, ...], int] = {}
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            if f.basis == "m":
+                pair = m_product_oracle(a, b)
+            else:
+                pair = {tuple(sorted(a + b, reverse=True)): 1}
+            for key, mult in pair.items():
+                if all(sum(key) <= bound for bound in bounds):
+                    out[key] = out.get(key, 0) + ca * cb * mult
+    return {key: c for key, c in out.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # monomial to h and e without the Schur basis
 
@@ -1013,3 +1036,40 @@ def normalized_by_two_passes(coeffs: dict, deg_max=None, k=None) -> dict:
             continue
         clean[lam] = clean.get(lam, 0) + c
     return {a: b for a, b in clean.items() if b}
+
+
+# ---------------------------------------------------------------------------
+# the k-Schur solve and the duality suite as they were first written
+
+
+def k_schur_by_filtered_columns(lam, k: int):
+    """families.k_schur, with each column filtered to its top degree every time the solve reads it."""
+    from kgroth.families import _solve_h
+    from kgroth.kostka import _column
+
+    def top_column(mu):
+        n = degree(mu)
+        return {nu: c for nu, c in _column(mu, k).items() if degree(nu) == n}
+
+    return _solve_h(check_partition(lam), top_column)
+
+
+def duality_by_instances(k: int, deg_max: int):
+    """families.verify_duality with one Hall pairing and one expect per (lam, mu).
+
+    The members are read through the families module, so a member planted
+    there reaches this oracle as it reaches the suite.
+    """
+    from kgroth import families
+    from kgroth.partitions import k_bounded_up_to
+    from kgroth.symfunc import hall_inner
+
+    res = families.CheckResult("duality", {"k": k, "deg_max": deg_max})
+    shapes = k_bounded_up_to(deg_max, k)
+    for lam in shapes:
+        g = families.kkschur(lam, k)
+        for mu in shapes:
+            res.expect(hall_inner(g, families.affine_grothendieck(mu, k, deg_max)),
+                       int(lam == mu), "<g[{lam}], G[{mu}]> = {got}, expected {want}",
+                       lam=lam, mu=mu)
+    return res

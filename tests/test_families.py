@@ -39,7 +39,8 @@ from kgroth.tableaux import classical_kostka_column, kostka_column
 
 from known_values import COL_PIERI_321_R2_K3, ROW_PIERI_321_R2_K3
 from oracles import (
-    expand_in_family_by_solve, m_side_scan_by_solve, omega_big_oracle, pieri_by_cores,
+    duality_by_instances, expand_in_family_by_solve, k_schur_by_filtered_columns,
+    m_side_scan_by_solve, omega_big_oracle, pieri_by_cores,
 )
 
 
@@ -114,6 +115,18 @@ def test_kkschur_regression_value():
     # fixed by inverting the weight system up to degree 6
     g = kkschur((3, 2, 1), 3)
     assert g == h((3, 2, 1)) - h((3, 3)) + h((3, 1, 1)) + h((3, 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_k_schur_solves_against_the_top_of_each_column(k):
+    from kgroth.families import _top_column
+    from kgroth.kostka import _column
+
+    for mu in k_bounded_up_to(9, k):
+        n = degree(mu)
+        assert _top_column(mu, k) == {nu: c for nu, c in _column(mu, k).items()
+                                      if degree(nu) == n}, mu
+        assert k_schur(mu, k) == k_schur_by_filtered_columns(mu, k), mu
 
 
 def test_k_schur_reduces_to_schur_for_small_hooks():
@@ -444,6 +457,30 @@ def test_duality_reports_a_wrong_member(monkeypatch):
     assert all(f.startswith("<g[(2, 1)], G[") for f in res.failures)
 
 
+@pytest.mark.parametrize("k, deg_max", [(2, 4), (3, 6), (4, 7)])
+def test_duality_counts_every_pair_as_the_per_instance_oracle(k, deg_max):
+    res, want = verify_duality(k, deg_max), duality_by_instances(k, deg_max)
+    assert res.ok and res.instances == len(k_bounded_up_to(deg_max, k)) ** 2
+    assert (res.instances, res.failures) == (want.instances, want.failures)
+
+
+@pytest.mark.parametrize("plant", [
+    # twice the member breaks the diagonal entry of its row
+    lambda g, true: 2 * g,
+    # two other members, added and taken away, break two entries off the diagonal
+    lambda g, true: g + true((1, 1, 1), 3) - true((3,), 3),
+])
+def test_duality_reports_a_broken_row_as_the_per_instance_oracle(plant, monkeypatch):
+    import kgroth.families as families
+
+    true = families.kkschur
+    monkeypatch.setattr(families, "kkschur",
+                        lambda lam, k: plant(true(lam, k), true) if lam == (2, 1) else true(lam, k))
+    res, want = verify_duality(3, 5), duality_by_instances(3, 5)
+    assert not res.ok and want.failures
+    assert (res.instances, res.failures) == (want.instances, want.failures)
+
+
 def test_kostka_symmetry_reports_a_wrong_column(monkeypatch):
     import kgroth.families as families
 
@@ -661,14 +698,15 @@ SCAN_FINDINGS_SHA256 = {
 def test_scan_findings_are_pinned(name, planted, monkeypatch):
     # no scan finds anything on the true families at small sizes, so faults
     # are planted to reach the findings; a planted column reaches the members
-    # built from it, so they are forgotten before the scan and after it
+    # and top columns built from it, so they are forgotten before the scan and after it
     import hashlib
     import json
 
     import kgroth.families as families
 
     def forget():
-        for member in (families.kkschur, families.k_schur, families.affine_grothendieck):
+        for member in (families.kkschur, families.k_schur, families.affine_grothendieck,
+                       families._top_column):
             member.cache_clear()
 
     for attr, plant in planted:

@@ -317,7 +317,10 @@ def test_core_to_bounded_records_no_core_for_a_shape_that_is_no_partition():
     core_to_bounded.cache_clear()
     bounded_to_core.cache_clear()
     _CORE_OF.clear()
-    assert core_to_bounded((2, 1, 0), 3) == (2, 1)
+    for shape in [(2, -1), (2, 1, 0), (0,), (1, 2)]:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(shape))} is not a partition$"):
+            core_to_bounded(shape, 3)
+    assert not _CORE_OF
     assert bounded_to_core((2, 1), 3) == Core((2, 1), 3)
 
 

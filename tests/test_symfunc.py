@@ -14,6 +14,7 @@ from kgroth.symfunc import (
     m,
     s,
     solve_unitriangular,
+    _h_mult,
     _m_mult,
 )
 
@@ -24,6 +25,7 @@ from oracles import (
     m_to_he_through_e,
     matrix_count,
     normalized_by_two_passes,
+    product_by_pairs,
     project_bounded,
 )
 
@@ -125,6 +127,37 @@ def test_product_oracle_matches_the_full_expansion():
     for lam in small:
         for mu in small:
             assert m_product_oracle(lam, mu) == m_product_expanded(lam, mu), (lam, mu)
+
+
+@st.composite
+def expansions(draw, basis, bounded):
+    keys = draw(st.lists(small_partitions(max_part=3, max_len=3), max_size=3))
+    coeffs = {key: draw(st.integers(min_value=-3, max_value=3)) for key in keys}
+    deg_max = draw(st.integers(min_value=0, max_value=9)) if bounded else None
+    return SymFunc(basis, coeffs, deg_max)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("basis", ["h", "e", "m"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_products_match_the_pair_by_pair_oracle(basis, bounded, data):
+    f = data.draw(expansions(basis, bounded))
+    g = data.draw(expansions(basis, bounded))
+    for left, right in ((f, g), (g, f)):
+        product = left * right
+        assert product.basis == basis
+        assert product.deg_max == (min(f.deg_max, g.deg_max) if bounded else None)
+        assert product.coeffs == product_by_pairs(left, right)
+
+
+def test_pieri_suite_reads_most_h_products_from_the_pair_table():
+    from kgroth.families import verify_pieri
+
+    _h_mult.cache_clear()
+    verify_pieri(4, 6)
+    info = _h_mult.cache_info()
+    assert info.hits > info.misses > 0
 
 
 def test_level_mismatch_errors():

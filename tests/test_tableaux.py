@@ -559,8 +559,9 @@ def test_one_sparse_map_accumulates_table_rows():
     """No function but _linear sums a keyed table row into a dict in a nested loop.
 
     The pattern is d[key] = d.get(key, 0) + ..., or the same through a bound
-    get, in a for loop inside another.  SymFunc.__mul__ keeps its own double
-    loops over pairs of terms: one dict per pair through _linear is slower.
+    get, in a for loop inside another.  SymFunc.__mul__ keeps one double loop
+    over pairs of terms, each pair read off a memoized table: one dict per
+    pair through _linear is slower.
     """
     import ast
     from pathlib import Path
