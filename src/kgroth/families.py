@@ -26,8 +26,7 @@ from .partitions import (
     _set,
 )
 from .symfunc import (
-    SymFunc, _h_in_s, binomial, convert, e, h, h_order,
-    distinct_permutations, solve_unitriangular,
+    SymFunc, _h_in_s, binomial, convert, distinct_permutations, e, h, solve_unitriangular,
 )
 from .tableaux import (
     _linear,
@@ -44,13 +43,14 @@ from .tableaux import (
 #
 # Writing h_mu = sum_lam (-1)^(|mu|-|lam|) K(lam, mu) g_lam for a family g,
 # with K(lam, mu) the tableau count of shape lam and weight mu, the h-expansion
-# of g_lam is the solution of that unitriangular system.  Solving against the
-# unsigned columns between two signings by degree parity is the same thing:
-# the signs are a diagonal change of basis on both sides.  Read forwards, the
-# same signed counts re-expand any f into the family (expand_in_family), and
-# the dual family G_lam is their series over the weights mu.  A re-expansion
-# into an m-side family is that product's transpose through the Hall pairing
-# (expand_in_dual_family), so _solve_h is the only solve.
+# of g_lam is the solution of that unitriangular system.  solve_unitriangular
+# takes the unsigned count columns and signs by degree parity as it walks the
+# family's indices (k-bounded partitions for the affine families), top degree
+# first.  Read forwards, the same signed counts re-expand any f into the
+# family (expand_in_family), and the dual family G_lam is their series over
+# the weights mu.  A re-expansion into an m-side family is that product's
+# transpose through the Hall pairing (expand_in_dual_family), so _solve_h is
+# the only solve.
 
 
 def _signed(coeffs: dict) -> dict[tuple[int, ...], int]:
@@ -58,8 +58,9 @@ def _signed(coeffs: dict) -> dict[tuple[int, ...], int]:
     return {mu: -c if sum(mu) % 2 else c for mu, c in coeffs.items() if c}
 
 
-def _solve_h(lam: tuple[int, ...], column) -> SymFunc:
-    return SymFunc("h", _signed(solve_unitriangular(_signed({lam: 1}), column, h_order)))
+def _solve_h(lam: tuple[int, ...], column, *args) -> SymFunc:
+    """The h-expansion of the family member lam, against the columns column(mu, *args)."""
+    return SymFunc("h", solve_unitriangular({lam: 1}, column, *args))
 
 
 def _series(lam: tuple[int, ...], deg_max: int, weights, column) -> dict:
@@ -101,7 +102,7 @@ def grothendieck(lam, deg_max: int) -> SymFunc:
 def kkschur(lam, k: int) -> SymFunc:
     """Exact h-expansion of the K-theoretic affine family member for lam."""
     lam = check_bounded(lam, k)
-    return _solve_h(lam, lambda mu: _column(mu, k))
+    return _solve_h(lam, _column, k)
 
 
 @cache
@@ -115,7 +116,7 @@ def _top_column(mu: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
 def k_schur(lam, k: int) -> SymFunc:
     """Exact homogeneous h-expansion from the k-tableau system."""
     lam = check_bounded(lam, k)
-    return _solve_h(lam, lambda mu: _top_column(mu, k))
+    return _solve_h(lam, _top_column, k)
 
 
 def dual_k_schur(lam, k: int) -> SymFunc:

@@ -300,23 +300,43 @@ def k_conjugate(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def k_bounded_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-bounded partitions of n, lexicographically decreasing."""
-    return list(_k_bounded_partitions(n, k))
+    known = _PARTITIONS.get((n, k))
+    if known is None:
+        known = _PARTITIONS[n, k] = tuple(descending_partitions(n, k))
+    return list(known)
 
 
-@cache
-def _k_bounded_partitions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+# per (n, k), the k-bounded partitions of n that k_bounded_partitions has listed
+_PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def listed_partitions(n: int, k: int | None = None) -> tuple[tuple[int, ...], ...] | None:
+    """The kept k_bounded_partitions(n, k) (k None: all partitions of n), or None if not listed."""
+    return _PARTITIONS.get((n, (n or 1) if k is None else k))
+
+
+def descending_partitions(n: int, k: int | None = None, rows: int | None = None):
+    """The k-bounded partitions of n (all of them if k is None) with at most
+    rows parts (any number if rows is None), lexicographically decreasing.
+
+    They come one at a time and are not kept, so a reader that stops early
+    builds no more.
+    """
     # a depth-first walk on an explicit stack, so no size reaches the recursion
-    # limit; the largest next part is pushed last and so comes out first
-    out: list[tuple[int, ...]] = []
+    # limit; the largest next part is pushed last and so comes out first, and
+    # no part is below what is left over the rows left, so every branch ends
+    # in a partition
+    k = (n or 1) if k is None else k
+    rows = n if rows is None else rows
     stack = [(n, k, ())]
     while stack:
         remaining, maxpart, prefix = stack.pop()
         if remaining == 0:
-            out.append(prefix)
+            yield prefix
             continue
-        for part in range(1, min(remaining, maxpart) + 1):
+        least = -(-remaining // (rows - len(prefix)))
+        for part in range(least, min(remaining, maxpart) + 1):
             stack.append((remaining - part, part, prefix + (part,)))
-    return tuple(out)
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from heapq import heapify, heappop, heappush
+from itertools import dropwhile
 from math import comb, factorial
-from operator import neg
 
-from .partitions import Record, _set, check_partition, conjugate, degree, dominates, partitions_of
+from .partitions import (
+    Record, _set, check_partition, conjugate, degree, descending_partitions, dominates,
+    listed_partitions, partitions_of,
+)
 from .tableaux import _horizontal_strips, _linear, sweep
 
 BASES = ("m", "h", "e", "s")
@@ -310,49 +312,65 @@ def _h_in_s(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 # unitriangular solves
 
 
-def h_order(lam: tuple[int, ...]):
-    """Solve order of h-side systems: top degree first, lex ascending within."""
-    return (-sum(lam), lam)
+def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> dict:
+    """Coefficients x with sum_key x[key] * (-1)^(|key|-|nu|) * column(key, *args)[nu] == target[nu].
 
-
-def m_order(lam: tuple[int, ...]):
-    """Solve order of m-side systems: bottom degree first, lex descending within."""
-    return (sum(lam), tuple(map(neg, lam)))
-
-
-def solve_unitriangular(target: dict, column, order) -> dict:
-    """Coefficients x with sum_key x[key] * column(key) == target, exactly.
-
-    column(key) must hold key with coefficient 1 and otherwise only keys that
-    come later in order.  The order-least key of the residual is settled next;
-    a column that breaks the order raises ArithmeticError.
+    The keys of degree d are the k-bounded partitions of d, with k = args[0]
+    if given.  The solve walks them one degree at a time, and only the
+    degrees that hold a residual key: top degree first and each degree lex
+    ascending when top_down, bottom degree first and each degree lex
+    descending otherwise.  A degree that k_bounded_partitions has listed is
+    walked whole.  Any other is walked from the residual's first key there,
+    and top down only over partitions no longer than its longest key there.
+    Each walked key pops its residual coefficient, and a key with a nonzero
+    one is settled: its column column(key, *args), read once, must hold key
+    with coefficient 1 and otherwise only keys later in the walk, those of
+    its own degree dominating key (top_down) or dominated by it.  The
+    residual is kept times (-1)^|nu|, so degree parity signs only the target
+    and the settled coefficients, and homogeneous columns solve the plain
+    system.  A column that breaks the order or names a key outside the index
+    set leaves a key the walk has passed, and the solve raises
+    ArithmeticError.
     """
-    residual = {key: c for key, c in target.items() if c}
-    heap = [(order(key), key) for key in residual]
-    heapify(heap)
-    get = residual.get
+    residual = {key: -c if sum(key) % 2 else c for key, c in target.items() if c}
+    get, pop = residual.get, residual.pop
     out = {}
-    while heap:
-        rank, key = heappop(heap)
-        c = residual.pop(key)
-        if not c:
-            continue
-        col = column(key)
-        if col.get(key) != 1:
-            raise ArithmeticError(f"column {key} does not lead with coefficient 1")
-        out[key] = c
-        for nu, t in col.items():
-            # one lookup per entry: key itself and every settled key are out of residual
-            old = get(nu)
-            if old is None:
-                if nu == key:
-                    continue
-                nu_rank = order(nu)
-                if nu_rank < rank:
-                    raise ArithmeticError(f"column {key} puts back the settled key {nu}")
-                heappush(heap, (nu_rank, nu))
-                old = 0
-            residual[nu] = old - c * t
+    d = None
+    while residual:
+        # the walk goes on at the next degree that holds a key
+        after = (max if top_down else min)(map(sum, residual))
+        if d is not None and (after >= d if top_down else after <= d):
+            nu = next((key for key in residual if key in out), None)
+            if nu is not None:
+                raise ArithmeticError(f"a column puts back the settled key {nu}")
+            nu = next(key for key in residual if sum(key) == after)
+            raise ArithmeticError(f"a column names {nu}, outside the index set or behind the walk")
+        d = after
+        walk = listed_partitions(d, *args)
+        if walk is not None:
+            if top_down:
+                walk = reversed(walk)
+        elif top_down:
+            here = [key for key in residual if sum(key) == d]
+            first = min(here)
+            walk = []
+            for key in descending_partitions(d, *args, rows=max(map(len, here))):
+                walk.append(key)
+                if key == first:
+                    break
+            walk.reverse()
+        else:
+            first = max(key for key in residual if sum(key) == d)
+            walk = dropwhile(first.__ne__, descending_partitions(d, *args))
+        for key in walk:
+            c = pop(key, 0)
+            if c:
+                for nu, t in column(key, *args).items():
+                    residual[nu] = get(nu, 0) - c * t
+                # the key's own entry puts back -c exactly when it is 1
+                if pop(key, 0) != -c:
+                    raise ArithmeticError(f"column {key} does not lead with coefficient 1")
+                out[key] = -c if d % 2 else c
     return out
 
 
@@ -361,7 +379,13 @@ def convert(f: SymFunc, target: str) -> SymFunc:
 
     Every conversion goes to s and then from s, each step a row read, a
     column read or a unitriangular solve against the classical Kostka
-    numbers; each column is swept only when a step reads it.
+    numbers; each column is swept only when a step reads it.  Both solves
+    walk the partitions of each degree that holds a key: m -> s bottom
+    degree first, each degree lex descending, as s_lam is m_lam plus
+    dominance-smaller terms; s -> h top degree first, each degree lex
+    ascending from the least key there and over partitions no longer than
+    the longest, as h_mu is s_mu plus dominance-larger terms.  So s_(n) -> h
+    lists one partition of n, and s_(30,30) -> h the 31 with two parts.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
@@ -372,7 +396,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     # omega swaps h_mu and e_mu and sends s_lam to s_lam', so the e-side
     # transitions are the h-side ones with the Schur indices conjugated
     if f.basis == "m":
-        coeffs = solve_unitriangular(f.coeffs, _s_in_m, m_order)
+        coeffs = solve_unitriangular(f.coeffs, _s_in_m, top_down=False)
     elif f.basis == "s":
         coeffs = f.coeffs
     else:
@@ -385,7 +409,7 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         # h_mu is s_mu plus dominance-larger, hence lexicographically larger, terms
         if target == "e":
             coeffs = {conjugate(lam): c for lam, c in coeffs.items()}
-        coeffs = solve_unitriangular(coeffs, _h_in_s, h_order)
+        coeffs = solve_unitriangular(coeffs, _h_in_s)
     return SymFunc(target, coeffs, f.deg_max)
 
 

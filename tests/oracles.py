@@ -12,7 +12,8 @@ block application that the cached strip transitions and the block walk of
 the factorizations are compared with.  The first forms of conjugate, of the
 Pieri rules on Core values and of SymFunc's coefficient normalization stay
 here too, as the references their faster forms are pinned to, and so do the
-re-expansions by a solve against the family's members, with the m-side scans
+unitriangular solve by a heap of keys in solve order (with its h- and m-side
+orders), the re-expansions by a solve against the family's members, with the m-side scans
 as they read them through the package's report builders.  Products of
 expansions are multiplied pair by pair, the k-Schur solve refilters its
 columns at every read, and the duality suite pairs every (lam, mu) on its own.
@@ -38,6 +39,7 @@ from kgroth.partitions import (
     core_to_bounded,
     degree,
     is_k_bounded,
+    k_bounded_partitions,
     k_conjugate,
     partitions_of,
     removable_corners,
@@ -799,6 +801,85 @@ def product_by_pairs(f, g) -> dict[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
+# the unitriangular solve by a heap of keys in solve order
+
+
+def h_order(lam: tuple[int, ...]):
+    """Solve order of h-side systems: top degree first, lex ascending within."""
+    return (-sum(lam), lam)
+
+
+def m_order(lam: tuple[int, ...]):
+    """Solve order of m-side systems: bottom degree first, lex descending within."""
+    return (sum(lam), tuple(-part for part in lam))
+
+
+def solve_by_heap(target: dict, column, order) -> dict:
+    """Coefficients x with sum_key x[key] * column(key) == target, exactly.
+
+    column(key) must hold key with coefficient 1 and otherwise only keys that
+    come later in order.  The order-least key of the residual is settled next,
+    popped off a heap of (order(key), key) pairs.  This was the package's
+    solver before it walked its index set degree by degree.
+    """
+    from heapq import heapify, heappop, heappush
+
+    residual = {key: c for key, c in target.items() if c}
+    heap = [(order(key), key) for key in residual]
+    heapify(heap)
+    get = residual.get
+    out = {}
+    while heap:
+        rank, key = heappop(heap)
+        c = residual.pop(key)
+        if not c:
+            continue
+        col = column(key)
+        if col.get(key) != 1:
+            raise ArithmeticError(f"column {key} does not lead with coefficient 1")
+        out[key] = c
+        for nu, t in col.items():
+            # key itself and every settled key are out of residual
+            old = get(nu)
+            if old is None:
+                if nu == key:
+                    continue
+                nu_rank = order(nu)
+                if nu_rank < rank:
+                    raise ArithmeticError(f"column {key} puts back the settled key {nu}")
+                heappush(heap, (nu_rank, nu))
+                old = 0
+            residual[nu] = old - c * t
+    return out
+
+
+def _signed(coeffs: dict) -> dict[tuple[int, ...], int]:
+    return {mu: -c if sum(mu) % 2 else c for mu, c in coeffs.items() if c}
+
+
+def solve_h_by_heap(lam, column) -> dict[tuple[int, ...], int]:
+    """h-coefficients of the family member lam: the heap solve between two signings by degree parity."""
+    return _signed(solve_by_heap(_signed({lam: 1}), column, h_order))
+
+
+def convert_by_heap(f, target: str) -> dict[tuple[int, ...], int]:
+    """symfunc.convert's coefficients, with its two solves made by solve_by_heap."""
+    from kgroth.symfunc import SymFunc, _h_in_s, _s_in_m, convert
+
+    if f.basis == target:
+        return f.coeffs
+    if f.basis == "m":
+        s_side = solve_by_heap(f.coeffs, _s_in_m, m_order)
+    else:
+        s_side = convert(f, "s").coeffs
+    if target in ("m", "s"):
+        return convert(SymFunc("s", s_side, f.deg_max), target).coeffs
+    if target == "e":
+        s_side = {conjugate(lam): c for lam, c in s_side.items()}
+    return solve_by_heap(s_side, _h_in_s, h_order)
+
+
+# ---------------------------------------------------------------------------
 # monomial to h and e without the Schur basis
 
 
@@ -839,13 +920,13 @@ def m_to_he_through_e(f, target: str):
     are unitriangular in the m-side order.  This was the production route
     before m -> h and m -> e went through the Schur basis.
     """
-    from kgroth.symfunc import SymFunc, convert, m_order, solve_unitriangular
+    from kgroth.symfunc import SymFunc, convert
 
     def column(nu):
         lam = conjugate(nu)
         return {mu: c for mu in partitions_of(sum(lam)) if (c := matrix_count(lam, mu, True))}
 
-    solved = solve_unitriangular(f.coeffs, column, m_order)
+    solved = solve_by_heap(f.coeffs, column, m_order)
     f_e = SymFunc("e", {conjugate(nu): c for nu, c in solved.items()}, f.deg_max)
     return f_e if target == "e" else convert(f_e, "h")
 
@@ -885,7 +966,7 @@ def expand_in_family_by_solve(f, family, index_sets) -> dict[tuple[int, ...], in
     linear extension) ascending, makes the solve exact.  The package instead
     multiplies f by the signed counts that define the family.
     """
-    from kgroth.symfunc import convert, h_order, solve_unitriangular
+    from kgroth.symfunc import convert
 
     work = convert(f, "h")
     if work.deg_max is not None:
@@ -897,7 +978,7 @@ def expand_in_family_by_solve(f, family, index_sets) -> dict[tuple[int, ...], in
             raise ValueError(f"element is not in the span of the family at degree {degree(nu)}")
         return convert(family(nu), "h").coeffs
 
-    return solve_unitriangular(work.coeffs, column, h_order)
+    return solve_by_heap(work.coeffs, column, h_order)
 
 
 def project_bounded(f, k: int):
@@ -919,7 +1000,7 @@ def expand_in_dual_family_by_solve(
     coefficients exact up to deg_max.  The package instead transposes the
     h-side product of the duals of the family.
     """
-    from kgroth.symfunc import convert, m_order, solve_unitriangular
+    from kgroth.symfunc import convert
 
     members = {nu for d in range(deg_max + 1) for nu in index_sets(d)}
 
@@ -929,7 +1010,7 @@ def expand_in_dual_family_by_solve(
         member = convert(family(nu), "m")
         return {mu: c for mu, c in member.coeffs.items() if sum(mu) <= deg_max}
 
-    return solve_unitriangular(convert(f, "m").truncate(deg_max).coeffs, column, m_order)
+    return solve_by_heap(convert(f, "m").truncate(deg_max).coeffs, column, m_order)
 
 
 def m_side_scan_by_solve(name: str, k: int, deg_max: int) -> dict:
@@ -942,7 +1023,7 @@ def m_side_scan_by_solve(name: str, k: int, deg_max: int) -> dict:
     from kgroth.families import (
         _entries, _report, affine_grothendieck, dual_k_schur, kkschur,
     )
-    from kgroth.partitions import k_bounded_partitions, k_bounded_up_to
+    from kgroth.partitions import k_bounded_up_to
     from kgroth.symfunc import s
 
     def rows(shapes, expand):
@@ -1047,11 +1128,11 @@ def k_schur_by_filtered_columns(lam, k: int):
     from kgroth.families import _solve_h
     from kgroth.kostka import _column
 
-    def top_column(mu):
+    def top_column(mu, k):
         n = degree(mu)
         return {nu: c for nu, c in _column(mu, k).items() if degree(nu) == n}
 
-    return _solve_h(check_partition(lam), top_column)
+    return _solve_h(check_partition(lam), top_column, k)
 
 
 def duality_by_instances(k: int, deg_max: int):

@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgroth.partitions import conjugate, partitions_of
+from kgroth import symfunc
+from kgroth.families import _top_column, dual_grothendieck, k_schur, kkschur
+from kgroth.kostka import _column
+from kgroth.partitions import conjugate, descending_partitions, k_bounded_up_to, partitions_of
 from kgroth.symfunc import (
+    BASES,
     SymFunc,
     binomial,
     convert,
     distinct_permutations,
     e,
     h,
-    h_order,
     hall_inner,
     m,
     s,
@@ -17,8 +20,10 @@ from kgroth.symfunc import (
     _h_mult,
     _m_mult,
 )
+from kgroth.tableaux import classical_kostka_column
 
 from oracles import (
+    convert_by_heap,
     jacobi_trudi_h,
     m_product_expanded,
     m_product_oracle,
@@ -27,6 +32,7 @@ from oracles import (
     normalized_by_two_passes,
     product_by_pairs,
     project_bounded,
+    solve_h_by_heap,
 )
 
 
@@ -222,13 +228,85 @@ def test_solve_unitriangular_rejects_columns_that_break_the_order():
     # (1, 1) comes before (2,), so the column of (2,) must not reach it
     columns = {(2,): {(2,): 1, (1, 1): 1}, (1, 1): {(1, 1): 1}}
     with pytest.raises(ArithmeticError):
-        solve_unitriangular({(2,): 1}, columns.__getitem__, h_order)
+        solve_unitriangular({(2,): 1}, columns.__getitem__)
     with pytest.raises(ArithmeticError):
-        solve_unitriangular({(2,): 1}, {(2,): {(2,): 2}}.__getitem__, h_order)
+        solve_unitriangular({(2,): 1}, {(2,): {(2,): 2}}.__getitem__)
     # the column of (2,), read after (1, 1) is settled, must not put (1, 1) back
     columns = {(1, 1): {(1, 1): 1, (2,): 1}, (2,): {(2,): 1, (1, 1): 1}}
     with pytest.raises(ArithmeticError, match=r"puts back the settled key \(1, 1\)"):
-        solve_unitriangular({(1, 1): 1}, columns.__getitem__, h_order)
+        solve_unitriangular({(1, 1): 1}, columns.__getitem__)
+    # (2,) is not 1-bounded, so the walk over the 1-bounded partitions never reaches it
+    columns = {(1, 1): {(1, 1): 1, (2,): 1}}
+    with pytest.raises(ArithmeticError, match=r"\(2,\), outside the index set"):
+        solve_unitriangular({(1, 1): 1}, lambda mu, k: columns[mu], 1)
+
+
+@pytest.mark.parametrize("lam, degrees, listed", [
+    # the homogeneous Schur columns leave degrees 59 down to 2 empty, and
+    # degree 60 is listed only up to (60,), the target's least key there
+    (((60,), (1,)), [60, 1], 2),
+    # h_mu is s_mu plus dominance-larger terms, so no key is longer than the
+    # target's: the partitions of 60 with at most two or three parts
+    (((30, 30),), [60], 31),
+    (((20, 20, 20),), [60], 331),
+])
+def test_solve_unitriangular_lists_only_the_partitions_a_key_can_reach(monkeypatch, lam, degrees, listed):
+    walked = []
+
+    def counted(d, *args, **bounds):
+        walked.append(d)
+        for mu in descending_partitions(d, *args, **bounds):
+            walked.append(mu)
+            yield mu
+
+    # no degree is walked from a kept listing, so each one is generated
+    monkeypatch.setattr(symfunc, "listed_partitions", lambda d, *args: None)
+    monkeypatch.setattr(symfunc, "descending_partitions", counted)
+    f = SymFunc("s", dict.fromkeys(lam, 1))
+    want = {}
+    for mu in lam:
+        want.update(jacobi_trudi_h(mu))
+    assert convert(f, "h").coeffs == want
+    assert [d for d in walked if isinstance(d, int)] == degrees
+    assert len(walked) - len(degrees) == listed
+
+
+@pytest.fixture(params=["listed", "generated"])
+def walk(request, monkeypatch):
+    """Solve over the kept listings of k_bounded_partitions, or generate every degree."""
+    if request.param == "generated":
+        monkeypatch.setattr(symfunc, "listed_partitions", lambda d, *args: None)
+    else:
+        for d in range(10):
+            partitions_of(d)
+    for member in (dual_grothendieck, kkschur, k_schur):
+        member.cache_clear()
+    return request.param
+
+
+def test_solve_unitriangular_matches_the_heap_solve_on_every_family_member(walk):
+    # the same coefficients, settled in the same order
+    for lam in k_bounded_up_to(9, 9):
+        want = solve_h_by_heap(lam, classical_kostka_column)
+        assert list(dual_grothendieck(lam).coeffs.items()) == list(want.items()), lam
+    for k in range(1, 6):
+        for lam in k_bounded_up_to(9, k):
+            want = solve_h_by_heap(lam, lambda mu: _column(mu, k))
+            assert list(kkschur(lam, k).coeffs.items()) == list(want.items()), (lam, k)
+            want = solve_h_by_heap(lam, lambda mu: _top_column(mu, k))
+            assert list(k_schur(lam, k).coeffs.items()) == list(want.items()), (lam, k)
+
+
+def test_convert_matches_the_heap_solves_between_all_four_bases(walk):
+    lams = [lam for d in range(9) for lam in partitions_of(d)]
+    # one inhomogeneous element too, so a solve walks several degrees
+    mixed = {lam: (-1) ** i * (i + 1) for i, lam in enumerate(lams)}
+    for basis in BASES:
+        sources = [SymFunc(basis, {lam: 1}) for lam in lams] + [SymFunc(basis, mixed)]
+        for f in sources:
+            for target in BASES:
+                want = convert_by_heap(f, target)
+                assert list(convert(f, target).coeffs.items()) == list(want.items()), (f, target)
 
 
 def test_omega_symmetry_of_transitions():
