@@ -147,16 +147,17 @@ def cmd_expand(args) -> int:
             deg_max = degree(lam) + 4
         if deg_max < degree(lam):
             raise InputError(f"--deg-max {deg_max} is below the degree of {lam}")
-        # a cached matrix serves the affine series; the finite families need only
-        # weights up to |lam|, which sweep faster than a whole matrix loads
-        if affine and (cache_dir := _cache_dir(args)):
-            kostka.build_affine_kostka(k, deg_max, cache_dir)
+    basis = args.basis or default_basis
+    # the affine families read in m (Gk, dks) live in the quotient, decided before any build
+    if affine and default_basis == "m" and basis != "m":
+        raise InputError(f"family {family} lives in the quotient; only the m basis applies")
+    # a cached matrix serves the affine series; the finite families need only
+    # weights up to |lam|, which sweep faster than a whole matrix loads
+    if series and affine and (cache_dir := _cache_dir(args)):
+        kostka.build_affine_kostka(k, deg_max, cache_dir)
     f = member(lam, k, deg_max)
     if not series and deg_max is not None:
         f = f.truncate(deg_max)
-    basis = args.basis or default_basis
-    if f.k is not None and basis != "m":
-        raise InputError(f"family {family} lives in the quotient; only the m basis applies")
     if f.basis != basis:
         f = convert(f, basis)
     payload = {

@@ -1,12 +1,12 @@
 """Affine set-valued Kostka numbers: memoized columns, bulk matrices, cache.
 
-The numbers count tableaux of a given shape and weight.  Every column is a
-read of tableaux.sweep, which keeps the states of each weight prefix it has
-swept, so a bulk matrix, every column of the weights up to deg_max, takes one
-sweep step per weight.  That sweep memo is the one in-process store of
-columns: a matrix only names the columns of its weights, and a matrix loaded
-from a cache file adds its columns to the memo, where a column already swept
-is kept.  Later sweeps of heavier weights then advance from the loaded ones.
+The numbers count tableaux of a given shape and weight.  A column is a read of
+tableaux.sweep, whose memo of the states of every weight prefix swept is the
+one in-process store of columns.  A bulk matrix, every column of the weights
+up to deg_max, is one sweep over their prefix tree on int ids, the shapes'
+indices in the cache file, and each column it steps joins the memo.  A matrix
+loaded from a file joins it too.  A column already held is kept either way,
+and later sweeps of heavier weights advance from the matrix's columns.
 
 Bulk matrices are persisted as versioned JSON, written to a random-named
 sibling file that then replaces the cache file, so concurrent readers never
@@ -27,12 +27,14 @@ from itertools import chain
 from .partitions import (
     Record,
     _set,
+    bounded_to_core,
     check_bounded,
     check_composition,
+    core_to_bounded,
     degree,
     k_bounded_up_to,
 )
-from .tableaux import _PREFIXES, _affine_steps, kostka_column
+from .tableaux import _PREFIXES, _affine_ends, _affine_steps, _linear, kostka_column
 
 FORMAT_VERSION = 2
 
@@ -94,17 +96,48 @@ def build_affine_kostka(k: int, deg_max: int, cache_dir: str | None = None) -> K
     if deg_max < 0:
         raise ValueError("deg_max must be nonnegative")
     loaded = _load(k, deg_max, cache_dir) if cache_dir else None
+    memo = _PREFIXES[(_affine_steps, (k,))]
     if loaded is not None:
         # the loaded columns join the sweep memo, where a column already swept is kept
-        memo = _PREFIXES[(_affine_steps, (k,))]
         return KostkaMatrix(k, deg_max, {
             mu: memo.setdefault(mu, col) for mu, col in loaded.columns.items()
         })
-    # by increasing degree, each column is one sweep step
-    matrix = KostkaMatrix(k, deg_max, {mu: _column(mu, k) for mu in k_bounded_up_to(deg_max, k)})
+    weights = k_bounded_up_to(deg_max, k)
+    flats = [None] * len(weights) if cache_dir else None
+    _sweep_numbered(k, deg_max, sorted(weights), memo, flats)
+    matrix = KostkaMatrix(k, deg_max, {mu: memo[mu] for mu in weights})
     if cache_dir:
-        _save(matrix, cache_dir)
+        _save(matrix, cache_dir, flats)
     return matrix
+
+
+def _sweep_numbered(k: int, deg_max: int, parts: list, memo: dict, flats: list | None) -> None:
+    """Sweep the weights in parts into the memo, and their flat lists into flats if given.
+
+    A shape's id is its index in parts.  The weights go depth-first, each one
+    block from its parent on id-keyed states, which go with their subtree.
+    Each (id, r) row, read once off the block walk, records its end cores.
+    """
+    id_of = {lam: i for i, lam in enumerate(parts)}
+    cores: dict[int, tuple[int, ...]] = {}
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(k + 1)]
+    stack = [((), 0, None)]
+    while stack:
+        mu, n, above = stack.pop()
+        if (col := memo.get(mu)) is None:
+            r, row_of = mu[-1], rows[mu[-1]]
+            for i in above.keys() - row_of.keys():
+                ends = _affine_ends(cores.get(i) or bounded_to_core(parts[i], k).shape, r, k)
+                row_of[i] = {id_of[core_to_bounded(g, k)]: t for g, t in ends.items()}
+                cores.update(zip(row_of[i], ends))
+            states = _linear(above, row_of.__getitem__)
+            memo.setdefault(mu, dict(zip(map(parts.__getitem__, states), states.values())))
+        else:
+            states = {id_of[lam]: c for lam, c in col.items()}
+        if flats is not None:
+            flats[id_of[mu]] = _flat(states)
+        top = min(mu[-1] if mu else k, deg_max - n)
+        stack.extend((mu + (r,), n + r, states) for r in range(1, top + 1))
 
 
 def _cache_path(k: int, deg_max: int, cache_dir: str) -> str:
@@ -156,23 +189,24 @@ def _plausible(
     return all(col == _column(mu, k) for mu, col in columns.items() if degree(mu) <= CHECKED_DEGREE)
 
 
-def _save(matrix: KostkaMatrix, cache_dir: str) -> None:
+def _flat(states: dict[int, int]) -> list[int]:
+    """The [id, count, ...] list of id-keyed states, ids increasing, filled by slices."""
+    flat = [0] * (2 * len(states))
+    flat[::2] = ids = sorted(states)
+    flat[1::2] = map(states.__getitem__, ids)
+    return flat
+
+
+def _save(matrix: KostkaMatrix, cache_dir: str, flats: list[list[int]] | None = None) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(matrix.k, matrix.deg_max, cache_dir)
-    # the weights are all the k-bounded partitions of degree <= deg_max, so
-    # their list indexes every shape too
+    # the weights are all the k-bounded partitions of degree <= deg_max, so their
+    # sorted list numbers every shape too; a build passes the flat lists it swept
     parts = sorted(matrix.columns)
-    index_of = {lam: i for i, lam in enumerate(parts)}.__getitem__
-    flats = []
-    for mu in parts:
-        # the shape indices sort as the shapes do, and as plain ints faster;
-        # the flat list takes them and their counts by slice, in alternation
-        col = matrix.columns[mu]
-        indices = sorted(map(index_of, col))
-        flat = [0] * (2 * len(indices))
-        flat[::2] = indices
-        flat[1::2] = map(col.__getitem__, map(parts.__getitem__, indices))
-        flats.append(flat)
+    if flats is None:
+        index_of = {lam: i for i, lam in enumerate(parts)}
+        flats = [_flat({index_of[lam]: c for lam, c in matrix.columns[mu].items()})
+                 for mu in parts]
     payload = {
         "format_version": FORMAT_VERSION,
         "k": matrix.k,

@@ -344,8 +344,8 @@ def enumerate_tableaux(lam, alpha, k: int) -> list[StripChain]:
 # the shapes one block of r letters reaches.  A sweep step is _linear with
 # the step as its table.  Each tableau family has its own step, and sweep()
 # serves every column of every family: a column is the states after its weight.
-# The affine step counts the end cores of _alive_blocks, the walk the strip
-# transitions share, and marks no cells: a count never reads rho.
+# The affine step counts _affine_ends, the end cores of the block walk that the
+# strip transitions and kostka's matrix build share; a count never reads rho.
 # The same engine folds the images of the inhomogeneous conjugation, whose
 # step multiplies an h-term by the image of one generator.
 
@@ -393,15 +393,20 @@ def sweep(mu, step, *args) -> dict[tuple[int, ...], int]:
     return states
 
 
+def _affine_ends(core: tuple[int, ...], r: int, k: int) -> dict[tuple[int, ...], int]:
+    """{end core: count}: the affine set-valued r-strips on the (k+1)-core, by their end core."""
+    out: dict[tuple[int, ...], int] = {}
+    for gshape, _, _ in _alive_blocks(core, r, k):
+        out[gshape] = out.get(gshape, 0) + 1
+    return out
+
+
 @cache
 def _affine_steps(shape: tuple[int, ...], r: int, k: int):
     """{gamma: count}: the affine set-valued r-strips on the core of the k-bounded shape."""
-    # bounded_to_core has checked the core, so the walk starts from it unchecked
-    out: dict[tuple[int, ...], int] = {}
-    for gshape, _, _ in _alive_blocks(bounded_to_core(shape, k).shape, r, k):
-        gamma = core_to_bounded(gshape, k)
-        out[gamma] = out.get(gamma, 0) + 1
-    return out
+    # the core is checked, and distinct cores have distinct bounded images
+    ends = _affine_ends(bounded_to_core(shape, k).shape, r, k)
+    return {core_to_bounded(gshape, k): t for gshape, t in ends.items()}
 
 
 def count_kostka(lam, alpha, k: int) -> int:

@@ -357,6 +357,27 @@ def test_expand_uses_the_cache_only_for_the_infinite_family(tmp_path, capsys, em
         kostka._cache_path(2, 5, str(tmp_path)))]
 
 
+@pytest.mark.parametrize("family", ["Gk", "dks"])
+@pytest.mark.parametrize("basis", ["s", "h", "e"])
+def test_a_quotient_family_is_rejected_before_it_is_built(family, basis, tmp_path, capsys,
+                                                           monkeypatch):
+    import kgroth.families as families
+    import kgroth.kostka as kostka
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the basis was checked")
+
+    for name in ("affine_grothendieck", "dual_k_schur"):
+        monkeypatch.setattr(families, name, built)
+    monkeypatch.setattr(kostka, "build_affine_kostka", built)
+    code, out, err = run_cli(capsys, "expand", "--family", family, "--partition", "4,4,3,3,2,1",
+                             "--k", "4", "--deg-max", "24", "--basis", basis,
+                             "--cache-dir", str(tmp_path / "D"))
+    assert (code, out) == (2, "")
+    assert f"family {family} lives in the quotient; only the m basis applies" in err
+    assert not (tmp_path / "D").exists()
+
+
 @pytest.mark.parametrize("content", ["other-degree", "not-an-object", "not-ascii", "bad-rows"])
 def test_kostka_cache_file_that_does_not_fit_is_rebuilt(content, tmp_path, capsys,
                                                         empty_kostka_cache):

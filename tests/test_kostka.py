@@ -4,7 +4,7 @@ import os
 import pytest
 
 import kgroth.kostka as kostka
-from kgroth import tableaux
+from kgroth import cli, families, partitions, symfunc, tableaux, words
 from kgroth.cli import main
 from kgroth.partitions import k_bounded_up_to
 
@@ -109,6 +109,75 @@ def test_a_column_swept_before_a_load_is_kept(tmp_path, empty_kostka_cache):
     assert loaded.columns[(2, 2, 1, 1)] is swept is memo[(2, 2, 1, 1)]
     assert on_file[(2, 2, 1, 1)] == swept and on_file[(2, 2, 1, 1)] is not swept
     assert loaded.columns[(2, 2, 2)] is memo[(2, 2, 2)] is kostka._column((2, 2, 2), 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_a_built_file_is_the_file_of_the_generic_sweep(k, tmp_path, empty_kostka_cache):
+    for deg_max in (0, 1, 3, 6, 9):
+        _forget_columns()
+        swept = {mu: tableaux.sweep(mu, tableaux._affine_steps, k)
+                 for mu in k_bounded_up_to(deg_max, k)}
+        kostka._save(kostka.KostkaMatrix(k, deg_max, swept), str(tmp_path / "swept"))
+        _forget_columns()
+        built = kostka.build_affine_kostka(k, deg_max, str(tmp_path / "built"))
+        assert built.columns == swept
+        with open(kostka._cache_path(k, deg_max, str(tmp_path / "swept")), "rb") as want, \
+                open(kostka._cache_path(k, deg_max, str(tmp_path / "built")), "rb") as got:
+            assert got.read() == want.read(), deg_max
+
+
+def test_a_column_swept_before_a_build_is_kept(tmp_path, empty_kostka_cache):
+    fresh = kostka.build_affine_kostka(2, 7, str(tmp_path / "fresh"))
+    _forget_columns()
+    swept = kostka._column((2, 2, 1, 1), 2)
+    built = kostka.build_affine_kostka(2, 7, str(tmp_path / "held"))
+    memo = tableaux._PREFIXES[(tableaux._affine_steps, (2,))]
+    assert built.columns[(2, 2, 1, 1)] is swept is memo[(2, 2, 1, 1)]
+    # the weights above the held one step from ids whose cores no walk recorded
+    assert built == fresh
+    with open(kostka._cache_path(2, 7, str(tmp_path / "fresh")), "rb") as want, \
+            open(kostka._cache_path(2, 7, str(tmp_path / "held")), "rb") as got:
+        assert got.read() == want.read()
+
+
+def test_a_build_over_held_columns_walks_no_block(tmp_path, monkeypatch, empty_kostka_cache):
+    large = kostka.build_affine_kostka(4, 8)
+
+    def walked(*args):
+        raise AssertionError("a held column was swept again")
+
+    monkeypatch.setattr(tableaux, "_alive_blocks", walked)
+    for cache_dir in (None, str(tmp_path)):
+        small = kostka.build_affine_kostka(4, 6, cache_dir)
+        assert all(col is large.columns[mu] for mu, col in small.columns.items())
+    assert kostka.build_affine_kostka(4, 8).columns == large.columns
+
+
+def _table_sizes() -> dict[str, int]:
+    """The size of every module-level container and functools cache but the sweep memo."""
+    sizes = {}
+    for module in (partitions, words, tableaux, kostka, symfunc, families, cli):
+        for name, value in vars(module).items():
+            key = f"{module.__name__}.{name}"
+            if name.startswith("__") or name == "_PREFIXES":
+                continue
+            if isinstance(value, (dict, list, set)):
+                sizes[key] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[key] = value.cache_info().currsize
+    return sizes
+
+
+def test_a_build_grows_no_module_table_but_the_sweep_memo(tmp_path, empty_kostka_cache):
+    # the generic sweep of every weight fills each table a sweep step reads
+    for mu in k_bounded_up_to(8, 3):
+        tableaux.kostka_column(mu, 3)
+    _forget_columns()
+    before = _table_sizes()
+    matrix = kostka.build_affine_kostka(3, 8, str(tmp_path))
+    assert _table_sizes() == before
+    assert all(tableaux._PREFIXES[(tableaux._affine_steps, (3,))][mu] is col
+               for mu, col in matrix.columns.items())
 
 
 def test_entries_are_sorted_rows():
