@@ -21,7 +21,6 @@ from .partitions import (
     k_bounded_up_to,
     k_conjugate,
     main_hook,
-    partitions_of,
     Record,
     _set,
 )
@@ -43,14 +42,14 @@ from .tableaux import (
 #
 # Writing h_mu = sum_lam (-1)^(|mu|-|lam|) K(lam, mu) g_lam for a family g,
 # with K(lam, mu) the tableau count of shape lam and weight mu, the h-expansion
-# of g_lam is the solution of that unitriangular system.  solve_unitriangular
-# takes the unsigned count columns and signs by degree parity as it walks the
-# family's indices (k-bounded partitions for the affine families), top degree
-# first.  Read forwards, the same signed counts re-expand any f into the
-# family (expand_in_family), and the dual family G_lam is their series over
-# the weights mu.  A re-expansion into an m-side family is that product's
-# transpose through the Hall pairing (expand_in_dual_family), so _solve_h is
-# the only solve.
+# of g_lam is the solution of that unitriangular system.  Every reader here
+# takes the family as column, *args: solve_unitriangular reads the unsigned
+# counts column(mu, *args) and signs by degree parity as it walks the indices,
+# the k-bounded partitions with k = args[0] (all partitions without args), top
+# degree first.  Read forwards, the same signed counts re-expand any f into the
+# family (expand_in_family), and the dual family G_lam is their series over the
+# weights mu; into an m-side family that product is transposed through the Hall
+# pairing (expand_in_dual_family), so _solve_h is the only solve.
 
 
 def _signed(coeffs: dict) -> dict[tuple[int, ...], int]:
@@ -63,16 +62,17 @@ def _solve_h(lam: tuple[int, ...], column, *args) -> SymFunc:
     return SymFunc("h", solve_unitriangular({lam: 1}, column, *args))
 
 
-def _series(lam: tuple[int, ...], deg_max: int, weights, column) -> dict:
-    """m-coefficients (-1)^(|mu|-|lam|) column(mu)[lam], mu in weights(d), |lam| <= d <= deg_max."""
+def _series(lam: tuple[int, ...], deg_max: int, column, *args) -> dict:
+    """m-coefficients (-1)^(|mu|-|lam|) column(mu, *args)[lam] for mu in
+    k_bounded_partitions(d, *args), |lam| <= d <= deg_max."""
     n = degree(lam)
     if deg_max < n:
         raise ValueError(f"deg_max {deg_max} is below the degree of {lam}")
     coeffs: dict[tuple[int, ...], int] = {}
     for d in range(n, deg_max + 1):
         sign = -1 if (d - n) % 2 else 1
-        for mu in weights(d):
-            count = column(mu).get(lam)
+        for mu in k_bounded_partitions(d, *args):
+            count = column(mu, *args).get(lam)
             if count:
                 coeffs[mu] = sign * count
     return coeffs
@@ -91,7 +91,7 @@ def dual_grothendieck(lam) -> SymFunc:
 def grothendieck(lam, deg_max: int) -> SymFunc:
     """Monomial expansion of the stable Grothendieck polynomial, truncated."""
     lam = check_partition(lam)
-    return SymFunc("m", _series(lam, deg_max, partitions_of, classical_kostka_column), deg_max)
+    return SymFunc("m", _series(lam, deg_max, classical_kostka_column), deg_max)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +122,14 @@ def k_schur(lam, k: int) -> SymFunc:
 def dual_k_schur(lam, k: int) -> SymFunc:
     """Weight generating function of the homogeneous tableau family, in m mod the level ideal."""
     lam = check_bounded(lam, k)
-    coeffs = _series(lam, degree(lam), lambda d: k_bounded_partitions(d, k),
-                     lambda mu: _column(mu, k))
-    return SymFunc("m", coeffs, None, k)
+    return SymFunc("m", _series(lam, degree(lam), _column, k), None, k)
 
 
 @cache
 def affine_grothendieck(lam, k: int, deg_max: int) -> SymFunc:
     """Signed weight generating function over all weights up to deg_max."""
     lam = check_bounded(lam, k)
-    coeffs = _series(lam, deg_max, lambda d: k_bounded_partitions(d, k),
-                     lambda mu: _column(mu, k))
-    return SymFunc("m", coeffs, deg_max, k)
+    return SymFunc("m", _series(lam, deg_max, _column, k), deg_max, k)
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +232,24 @@ def omega_big(f: SymFunc) -> SymFunc:
 # re-expansion into distinguished families
 
 
-def expand_in_family(f: SymFunc, column, index_sets) -> dict[tuple[int, ...], int]:
+def expand_in_family(f: SymFunc, column, *args) -> dict[tuple[int, ...], int]:
     """Coefficients of f in an h-side family, one signed product with its count columns.
 
-    column(mu) is the count column {nu: K(nu, mu)} that defines the family,
-    as for _solve_h, and index_sets(d) lists the family indices of degree d.
-    Since h_mu = sum_nu (-1)^(|mu|-|nu|) K(nu, mu) g_nu, the coefficient of
-    g_nu is sum_mu (-1)^(|mu|-|nu|) K(nu, mu) f[mu] over the h-terms of f;
-    no family member is built.  The members span the h_mu with mu an index,
-    so any other h-term puts f outside the span.
+    column(mu, *args) is the count column {nu: K(nu, mu)} that defines the
+    family, as for _solve_h, and its indices are the k-bounded partitions with
+    k = args[0], or all partitions without args.  Since h_mu = sum_nu
+    (-1)^(|mu|-|nu|) K(nu, mu) g_nu, the coefficient of g_nu is sum_mu
+    (-1)^(|mu|-|nu|) K(nu, mu) f[mu] over the h-terms of f; no family member
+    is built.  The members span the h_mu with mu an index, so an h-term with
+    a part above k puts f outside the span.
     """
     work = convert(f, "h")
     if work.deg_max is not None:
         raise ValueError("re-expansion needs an exact h-expansion")
-    members = {nu for d in range(work.max_degree() + 1) for nu in index_sets(d)}
     for mu in work.coeffs:
-        if mu not in members:
+        if args and mu and mu[0] > args[0]:
             raise ValueError(f"element is not in the span of the family at degree {degree(mu)}")
-    return _signed(_linear(_signed(work.coeffs), column))
+    return _signed(_linear(_signed(work.coeffs), column, *args))
 
 
 def _transpose(table: dict) -> dict:
@@ -265,16 +261,16 @@ def _transpose(table: dict) -> dict:
     return out
 
 
-def expand_in_dual_family(duals: dict, column, index_sets) -> dict:
+def expand_in_dual_family(duals: dict, column, *args) -> dict:
     """Coefficients {lam: {mu: c}} of the members A_lam of an m-side family in another, B.
 
     duals maps each index mu of B to b_mu, the h-side member dual to B_mu;
-    column and index_sets define a, the h-side family dual to A, as for
+    column, *args define a, the h-side family dual to A, as for
     expand_in_family.  Under the Hall pairing [B_mu]A_lam = <A_lam, b_mu> =
     [a_lam]b_mu, so the table is the transpose of one signed Kostka product
     per dual: no member of A or B is built and nothing is solved.
     """
-    return _transpose({mu: expand_in_family(b, column, index_sets) for mu, b in duals.items()})
+    return _transpose({mu: expand_in_family(b, column, *args) for mu, b in duals.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +572,13 @@ def _rows(shapes, table: dict) -> list[tuple]:
 def scan_G_in_dualks(k: int, deg_max: int) -> dict:
     """G^(k) in the dual k-Schur functions, through their duals g^(k) and the k-Schur functions."""
     shapes = k_bounded_up_to(deg_max, k)
-    table = expand_in_dual_family({mu: k_schur(mu, k) for mu in shapes},
-                                  lambda nu: _column(nu, k), lambda d: k_bounded_partitions(d, k))
+    table = expand_in_dual_family({mu: k_schur(mu, k) for mu in shapes}, _column, k)
     return _report("G-in-dualks-positivity", k, deg_max, _entries(_rows(shapes, table)))
 
 
 def scan_gk_in_g(k: int, deg_max: int) -> dict:
     shapes = k_bounded_up_to(deg_max, k)
-    table = {lam: expand_in_family(kkschur(lam, k), classical_kostka_column, partitions_of)
-             for lam in shapes}
+    table = {lam: expand_in_family(kkschur(lam, k), classical_kostka_column) for lam in shapes}
     return _report("gk-in-g-positivity", k, deg_max, _entries(_rows(shapes, table)))
 
 
@@ -595,11 +589,7 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
     g^(k)_mu, so the generating-function rows are the h-side rows transposed.
     """
     shapes = k_bounded_up_to(deg_max, k)
-    table = {
-        lam: expand_in_family(kkschur(lam, k), lambda mu: _column(mu, k + 1),
-                              lambda d: k_bounded_partitions(d, k + 1))
-        for lam in shapes
-    }
+    table = {lam: expand_in_family(kkschur(lam, k), _column, k + 1) for lam in shapes}
     dual_rows = _rows(k_bounded_up_to(deg_max, k + 1), _transpose(table))
     entries = _entries(_rows(shapes, table)) + _entries(
         dual_rows, series="generating-function-branching")
@@ -609,7 +599,7 @@ def scan_gk_branching(k: int, deg_max: int) -> dict:
 def scan_s_in_Gk(k: int, deg_max: int) -> dict:
     """Schur functions in G^(k) mod the level ideal; s is self-dual, so through g^(k) in s."""
     shapes = k_bounded_up_to(deg_max, k)
-    table = expand_in_dual_family({mu: kkschur(mu, k) for mu in shapes}, _h_in_s, partitions_of)
+    table = expand_in_dual_family({mu: kkschur(mu, k) for mu in shapes}, _h_in_s)
     return _report("s-in-Gk-positivity", k, deg_max, _entries(_rows(shapes, table), signed=False))
 
 

@@ -298,8 +298,9 @@ def k_conjugate(lam: tuple[int, ...], k: int) -> tuple[int, ...]:
     return bounded_to_core(lam, k).conjugate().to_bounded()
 
 
-def k_bounded_partitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-bounded partitions of n, lexicographically decreasing."""
+def k_bounded_partitions(n: int, k: int | None = None) -> list[tuple[int, ...]]:
+    """All k-bounded partitions of n (all partitions of n if k is None), lexicographically decreasing."""
+    k = (n or 1) if k is None else k
     known = _PARTITIONS.get((n, k))
     if known is None:
         known = _PARTITIONS[n, k] = tuple(descending_partitions(n, k))
@@ -341,7 +342,7 @@ def descending_partitions(n: int, k: int | None = None, rows: int | None = None)
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
     """All partitions of n (no part bound)."""
-    return k_bounded_partitions(n, n if n else 1)
+    return k_bounded_partitions(n)
 
 
 def k_bounded_up_to(n: int, k: int) -> list[tuple[int, ...]]:

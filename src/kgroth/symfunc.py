@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import dropwhile
 from math import comb, factorial
 
 from .partitions import (
@@ -312,25 +311,23 @@ def _h_in_s(mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 # unitriangular solves
 
 
-def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> dict:
+def solve_unitriangular(target: dict, column, *args) -> dict:
     """Coefficients x with sum_key x[key] * (-1)^(|key|-|nu|) * column(key, *args)[nu] == target[nu].
 
     The keys of degree d are the k-bounded partitions of d, with k = args[0]
     if given.  The solve walks them one degree at a time, and only the
-    degrees that hold a residual key: top degree first and each degree lex
-    ascending when top_down, bottom degree first and each degree lex
-    descending otherwise.  A degree that k_bounded_partitions has listed is
-    walked whole.  Any other is walked from the residual's first key there,
-    and top down only over partitions no longer than its longest key there.
-    Each walked key pops its residual coefficient, and a key with a nonzero
-    one is settled: its column column(key, *args), read once, must hold key
-    with coefficient 1 and otherwise only keys later in the walk, those of
-    its own degree dominating key (top_down) or dominated by it.  The
-    residual is kept times (-1)^|nu|, so degree parity signs only the target
-    and the settled coefficients, and homogeneous columns solve the plain
-    system.  A column that breaks the order or names a key outside the index
-    set leaves a key the walk has passed, and the solve raises
-    ArithmeticError.
+    degrees that hold a residual key: top degree first, each degree lex
+    ascending.  A degree that k_bounded_partitions has listed is walked
+    whole.  Any other is walked from the residual's least key there, over
+    partitions no longer than its longest key there.  Each walked key pops
+    its residual coefficient, and a key with a nonzero one is settled: its
+    column column(key, *args), read once, must hold key with coefficient 1
+    and otherwise only keys later in the walk, those of its own degree
+    dominating key.  The residual is kept times (-1)^|nu|, so degree parity
+    signs only the target and the settled coefficients, and homogeneous
+    columns solve the plain system.  A column that breaks the order or names
+    a key outside the index set leaves a key the walk has passed, and the
+    solve raises ArithmeticError.
     """
     residual = {key: -c if sum(key) % 2 else c for key, c in target.items() if c}
     get, pop = residual.get, residual.pop
@@ -338,8 +335,8 @@ def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> d
     d = None
     while residual:
         # the walk goes on at the next degree that holds a key
-        after = (max if top_down else min)(map(sum, residual))
-        if d is not None and (after >= d if top_down else after <= d):
+        after = max(map(sum, residual))
+        if d is not None and after >= d:
             nu = next((key for key in residual if key in out), None)
             if nu is not None:
                 raise ArithmeticError(f"a column puts back the settled key {nu}")
@@ -347,10 +344,7 @@ def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> d
             raise ArithmeticError(f"a column names {nu}, outside the index set or behind the walk")
         d = after
         walk = listed_partitions(d, *args)
-        if walk is not None:
-            if top_down:
-                walk = reversed(walk)
-        elif top_down:
+        if walk is None:
             here = [key for key in residual if sum(key) == d]
             first = min(here)
             walk = []
@@ -358,11 +352,7 @@ def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> d
                 walk.append(key)
                 if key == first:
                     break
-            walk.reverse()
-        else:
-            first = max(key for key in residual if sum(key) == d)
-            walk = dropwhile(first.__ne__, descending_partitions(d, *args))
-        for key in walk:
+        for key in reversed(walk):
             c = pop(key, 0)
             if c:
                 for nu, t in column(key, *args).items():
@@ -374,18 +364,24 @@ def solve_unitriangular(target: dict, column, *args, top_down: bool = True) -> d
     return out
 
 
+def _conjugated(coeffs: dict) -> dict[tuple[int, ...], int]:
+    """The coefficients with every key conjugated."""
+    return {conjugate(lam): c for lam, c in coeffs.items()}
+
+
 def convert(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis among m, h, e, s; truncation bound is preserved.
 
     Every conversion goes to s and then from s, each step a row read, a
     column read or a unitriangular solve against the classical Kostka
     numbers; each column is swept only when a step reads it.  Both solves
-    walk the partitions of each degree that holds a key: m -> s bottom
-    degree first, each degree lex descending, as s_lam is m_lam plus
-    dominance-smaller terms; s -> h top degree first, each degree lex
-    ascending from the least key there and over partitions no longer than
-    the longest, as h_mu is s_mu plus dominance-larger terms.  So s_(n) -> h
-    lists one partition of n, and s_(30,30) -> h the 31 with two parts.
+    walk the partitions of each degree that holds a key, top degree first,
+    each degree lex ascending from the least key there and over partitions
+    no longer than the longest.  s -> h solves as h_mu is s_mu plus
+    dominance-larger terms.  m -> s solves over conjugated keys: s_lam is
+    m_lam plus dominance-smaller terms, and conjugation reverses dominance,
+    so the row {mu': K(lam, mu)} keyed lam' meets the same order.  So s_(n)
+    -> h lists one partition of n, and s_(30,30) -> h the 31 with two parts.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
@@ -396,19 +392,20 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     # omega swaps h_mu and e_mu and sends s_lam to s_lam', so the e-side
     # transitions are the h-side ones with the Schur indices conjugated
     if f.basis == "m":
-        coeffs = solve_unitriangular(f.coeffs, _s_in_m, top_down=False)
+        coeffs = _conjugated(solve_unitriangular(
+            _conjugated(f.coeffs), lambda nu: _conjugated(_s_in_m(conjugate(nu)))))
     elif f.basis == "s":
         coeffs = f.coeffs
     else:
         coeffs = _linear(f.coeffs, _h_in_s)
         if f.basis == "e":
-            coeffs = {conjugate(lam): c for lam, c in coeffs.items()}
+            coeffs = _conjugated(coeffs)
     if target == "m":
         coeffs = _linear(coeffs, _s_in_m)
     elif target != "s":
         # h_mu is s_mu plus dominance-larger, hence lexicographically larger, terms
         if target == "e":
-            coeffs = {conjugate(lam): c for lam, c in coeffs.items()}
+            coeffs = _conjugated(coeffs)
         coeffs = solve_unitriangular(coeffs, _h_in_s)
     return SymFunc(target, coeffs, f.deg_max)
 

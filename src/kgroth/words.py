@@ -166,24 +166,34 @@ def apply_block(core: Core, residues) -> tuple[Core, tuple[Cell, ...]]:
 
 
 @cache
-def _block_letters(r: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The letters of the block on every r-subset of [0, k], in evaluation order.
+def _block_letters(r: int, k: int, *residues: int) -> tuple[tuple[int, ...], ...]:
+    """The letters of the block on every r-subset of residues (of [0, k] if none are given).
 
     Subsets come in combinations order; each block's letters are those of
     its cyclically decreasing word, rightmost first.
     """
     return tuple(
         cyclically_decreasing_word(subset, k).letters[::-1]
-        for subset in combinations(range(k + 1), r)
+        for subset in combinations(residues or range(k + 1), r)
     )
 
 
 def _alive_blocks(beta_shape: tuple[int, ...], r: int, k: int):
     """(gamma_shape, touched cells, letters) of each r-block alive on the (k+1)-core beta.
 
-    Blocks come in the order of _block_letters, whose letters they carry.
+    Blocks come in combinations order of their residue sets.  A live block's
+    first letter is alive on beta, and each letter makes corners only at its
+    own residue and its two neighbours, so all its letters lie within cyclic
+    distance r - 1 of the at most 2 len(beta) + 1 residues alive on beta.
+    When those neighbourhoods cannot cover all k + 1 residues, the sets are
+    drawn from them alone.
     """
-    for letters in _block_letters(r, k):
+    p = k + 1
+    residues = ()
+    if (2 * r - 1) * (2 * len(beta_shape) + 1) < p:
+        alive = [i for i, (_, cells) in enumerate(_corner_step(beta_shape, k)) if cells]
+        residues = sorted({(i + j) % p for i in alive for j in range(1 - r, r)})
+    for letters in _block_letters(r, k, *residues):
         gamma = beta_shape
         touched: list[Cell] = []
         for i in letters:

@@ -494,6 +494,26 @@ def sv_strips_brute(beta: Core, r: int) -> list[tuple[tuple[int, ...], tuple[int
     return sorted(found)
 
 
+def alive_blocks_by_enumeration(beta_shape: tuple[int, ...], r: int, k: int) -> list:
+    """(gamma, touched cells sorted, letters) of every r-block alive on beta.
+
+    Applies the block of every r-subset of [0, k], in combinations order,
+    through words.apply_block and drops the dead ones; the letters are those
+    of the subset's cyclically decreasing word, rightmost first.  The
+    package draws the subsets only from the residues near those alive on
+    beta when that leaves some out.
+    """
+    beta = Core(beta_shape, k)
+    out = []
+    for subset in combinations(range(k + 1), r):
+        try:
+            gamma, touched = apply_block(beta, subset)
+        except DeadWordError:
+            continue
+        out.append((gamma.shape, touched, cyclically_decreasing_word(subset, k).letters[::-1]))
+    return out
+
+
 def strip_transitions_by_blocks(beta_shape: tuple[int, ...], r: int, k: int):
     """The (gamma, rho) pairs of one marked r-block on beta, sorted.
 
@@ -863,13 +883,19 @@ def solve_h_by_heap(lam, column) -> dict[tuple[int, ...], int]:
 
 
 def convert_by_heap(f, target: str) -> dict[tuple[int, ...], int]:
-    """symfunc.convert's coefficients, with its two solves made by solve_by_heap."""
-    from kgroth.symfunc import SymFunc, _h_in_s, _s_in_m, convert
+    """symfunc.convert's coefficients, with its two solves made by solve_by_heap.
+
+    m -> s solves over conjugated keys, where each Schur row leads the
+    dominance-larger keys as the h-side columns do, so both solves settle in
+    h_order.
+    """
+    from kgroth.symfunc import SymFunc, _conjugated, _h_in_s, _s_in_m, convert
 
     if f.basis == target:
         return f.coeffs
     if f.basis == "m":
-        s_side = solve_by_heap(f.coeffs, _s_in_m, m_order)
+        s_side = _conjugated(solve_by_heap(
+            _conjugated(f.coeffs), lambda nu: _conjugated(_s_in_m(conjugate(nu))), h_order))
     else:
         s_side = convert(f, "s").coeffs
     if target in ("m", "s"):

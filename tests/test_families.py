@@ -358,16 +358,15 @@ def test_newton_identities():
 def test_expand_in_kkschur_roundtrip():
     k = 3
     f = h((2,)) * kkschur((3, 2, 1), k)
-    column, index_sets = (lambda mu: kostka_column(mu, k)), (lambda d: k_bounded_partitions(d, k))
-    assert expand_in_family(f, column, index_sets) == ROW_PIERI_321_R2_K3
-    assert expand_in_family(kkschur((2, 1), k), column, index_sets) == {(2, 1): 1}
+    assert expand_in_family(f, kostka_column, k) == ROW_PIERI_321_R2_K3
+    assert expand_in_family(kkschur((2, 1), k), kostka_column, k) == {(2, 1): 1}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_expand_in_g_matches_the_solve_against_members(k):
     for lam in k_bounded_up_to(7, k):
         f = kkschur(lam, k)
-        assert (expand_in_family(f, classical_kostka_column, partitions_of)
+        assert (expand_in_family(f, classical_kostka_column)
                 == expand_in_family_by_solve(f, dual_grothendieck, partitions_of)), lam
 
 
@@ -378,31 +377,40 @@ def test_expand_in_the_next_level_matches_the_solve_against_members(k):
 
     for lam in k_bounded_up_to(7, k):
         f = kkschur(lam, k)
-        assert (expand_in_family(f, lambda mu: kostka_column(mu, k + 1), index_sets)
+        assert (expand_in_family(f, kostka_column, k + 1)
                 == expand_in_family_by_solve(f, lambda mu: kkschur(mu, k + 1), index_sets)), lam
 
 
 def test_expand_in_family_rejects_outsiders():
     with pytest.raises(ValueError):
-        expand_in_family(
-            h((3,)), lambda mu: kkschur(mu, 2), lambda d: k_bounded_partitions(d, 2)
-        )
+        expand_in_family(h((3,)), kkschur, 2)
 
 
 def test_expand_in_family_rejects_outsiders_whose_columns_exist():
     # the classical columns are defined at (3,), but (3,) indexes no 2-bounded member
     for f in (h((3,)), h((3,)) + h((2, 1))):
         with pytest.raises(ValueError):
-            expand_in_family(f, classical_kostka_column, lambda d: k_bounded_partitions(d, 2))
+            expand_in_family(f, lambda mu, k: classical_kostka_column(mu), 2)
+
+
+def test_expand_in_family_lists_no_index_partition(monkeypatch):
+    # membership is the part bound, so an outsider is found with no listing
+    import kgroth.families as families
+    from kgroth.kostka import _column
+
+    def listed(*args):
+        raise AssertionError("an index set was listed")
+
+    monkeypatch.setattr(families, "k_bounded_partitions", listed)
+    with pytest.raises(ValueError, match="not in the span"):
+        expand_in_family(h((3, 1)), _column, 2)
 
 
 def test_expand_in_dual_family_roundtrip():
     # each G[lam] re-expanded in the G-side family through the duals g[mu]
     for k in (2, 3):
         shapes = k_bounded_up_to(5, k)
-        table = expand_in_dual_family({mu: kkschur(mu, k) for mu in shapes},
-                                      lambda mu: kostka_column(mu, k),
-                                      lambda d: k_bounded_partitions(d, k))
+        table = expand_in_dual_family({mu: kkschur(mu, k) for mu in shapes}, kostka_column, k)
         assert table == {lam: {lam: 1} for lam in shapes}, k
 
 
@@ -410,10 +418,7 @@ def test_expand_in_dual_family_rejects_outsiders():
     # h[3] has a part above k=2, alone or next to a member of the span
     for dual in (h((3,)), h((3,)) + h((2, 1))):
         with pytest.raises(ValueError):
-            expand_in_dual_family(
-                {(2, 1): kkschur((2, 1), 2), (3,): dual},
-                lambda mu: kostka_column(mu, 2), lambda d: k_bounded_partitions(d, 2),
-            )
+            expand_in_dual_family({(2, 1): kkschur((2, 1), 2), (3,): dual}, kostka_column, 2)
 
 
 @pytest.mark.parametrize("name", [

@@ -241,6 +241,20 @@ def test_solve_unitriangular_rejects_columns_that_break_the_order():
         solve_unitriangular({(1, 1): 1}, lambda mu, k: columns[mu], 1)
 
 
+def test_monomial_to_schur_rejects_a_row_with_a_dominance_larger_key(monkeypatch):
+    # s_lam is m_lam plus dominance-smaller terms; (3,) dominates (2, 1), so
+    # its conjugate (1, 1, 1) comes before (2, 1) in the conjugated walk
+    true = symfunc._s_in_m
+
+    def planted(lam):
+        row = true(lam)
+        return {**row, (3,): 1} if lam == (2, 1) else row
+
+    monkeypatch.setattr(symfunc, "_s_in_m", planted)
+    with pytest.raises(ArithmeticError):
+        convert(m((2, 1)), "s")
+
+
 @pytest.mark.parametrize("lam, degrees, listed", [
     # the homogeneous Schur columns leave degrees 59 down to 2 empty, and
     # degree 60 is listed only up to (60,), the target's least key there

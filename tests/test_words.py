@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from kgroth.partitions import Core, degree, k_bounded_up_to
+from kgroth import words
+from kgroth.partitions import Core, bounded_to_core, degree, k_bounded_up_to
 from kgroth.tableaux import count_kostka
 from kgroth.words import (
     DeadWordError,
@@ -18,6 +19,7 @@ from kgroth.words import (
 
 from known_values import STANDARD_DEG5_K2_DOCUMENTED, filling
 from oracles import (
+    alive_blocks_by_enumeration,
     coxeter_product,
     demazure_product,
     factorizations_by_search,
@@ -222,3 +224,37 @@ def test_counts_against_window_arithmetic(lam, alpha, k):
     from oracles import block_factorization_count
 
     assert affine_kostka(lam, alpha, k) == block_factorization_count(lam, alpha, k)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_alive_blocks_match_the_enumeration_of_every_residue_subset(k):
+    # the walk draws its subsets near the residues alive on the core once k
+    # is large beside the core and r, and must still yield every live block
+    # in combinations order
+    for lam in k_bounded_up_to(7 if k < 9 else 5, k):
+        beta = bounded_to_core(lam, k).shape
+        for r in range(min(k, 5) + 1):
+            got = [(gamma, tuple(sorted(touched)), letters)
+                   for gamma, touched, letters in words._alive_blocks(beta, r, k)]
+            assert got == alive_blocks_by_enumeration(beta, r, k), (beta, r)
+
+
+def test_a_large_level_builds_few_block_words(monkeypatch, capsys, empty_kostka_cache):
+    # at k = 60 a block of r letters has C(61, r) residue sets, 5,949,147 for
+    # r = 5; the walk builds the words of those near the few corners of each core
+    from kgroth import families, tableaux
+    from kgroth.cli import main
+
+    built = []
+    true = words.cyclically_decreasing_word
+
+    def counted(residues, k):
+        built.append(residues)
+        return true(residues, k)
+
+    for memo in (words._block_letters, tableaux._strip_transitions, families.kkschur):
+        memo.cache_clear()
+    monkeypatch.setattr(words, "cyclically_decreasing_word", counted)
+    main(["expand", "--family", "gk", "--partition", "3,2", "--k", "60", "--format", "json"])
+    assert capsys.readouterr().out
+    assert 0 < len(built) <= 300
