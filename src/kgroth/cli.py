@@ -94,8 +94,12 @@ def _check_integers(args) -> None:
             raise InputError(f"--{name.replace('_', '-')} must be at least {low}: {value}")
 
 
-def _cache_dir(args) -> str | None:
-    """--cache-dir, else KGROTH_CACHE_DIR, made if missing; a file in its way is bad input."""
+def _cache_dir(args, k: int, deg_max: int) -> str | None:
+    """--cache-dir, else KGROTH_CACHE_DIR, made if missing, for the matrix of (k, deg_max).
+
+    A file in the dir's way, or a directory at the path of the matrix's file,
+    is bad input, found before any matrix is built.
+    """
     path = args.cache_dir
     if path is None:
         path = os.environ.get("KGROTH_CACHE_DIR")
@@ -104,6 +108,8 @@ def _cache_dir(args) -> str | None:
             os.makedirs(path, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             raise InputError(f"cache dir is not a directory: {path} ({exc.strerror})") from exc
+        if os.path.isdir(file := kostka._cache_path(k, deg_max, path)):
+            raise InputError(f"cache file is a directory: {file}")
     return path
 
 
@@ -153,7 +159,7 @@ def cmd_expand(args) -> int:
         raise InputError(f"family {family} lives in the quotient; only the m basis applies")
     # a cached matrix serves the affine series; the finite families need only
     # weights up to |lam|, which sweep faster than a whole matrix loads
-    if series and affine and (cache_dir := _cache_dir(args)):
+    if series and affine and (cache_dir := _cache_dir(args, k, deg_max)):
         kostka.build_affine_kostka(k, deg_max, cache_dir)
     f = member(lam, k, deg_max)
     if not series and deg_max is not None:
@@ -288,7 +294,7 @@ def cmd_kostka(args) -> int:
         _emit(args, payload, f"kostka k={k} shape={list(lam)} weight={list(alpha)}: {value}")
         return 0
     deg_max = args.deg_max
-    matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args))
+    matrix = kostka.build_affine_kostka(k, deg_max, _cache_dir(args, k, deg_max))
     rows = matrix.entries
     # a matrix can have over 10^5 entries, so each row is written as it is
     # formatted; every shape is also a weight, so each partition is formatted once

@@ -4,9 +4,11 @@ The numbers count tableaux of a given shape and weight.  A column is a read of
 tableaux.sweep, whose memo of the states of every weight prefix swept is the
 one in-process store of columns.  A bulk matrix, every column of the weights
 up to deg_max, is one sweep over their prefix tree on int ids, the shapes'
-indices in the cache file, and each column it steps joins the memo.  A matrix
-loaded from a file joins it too.  A column already held is kept either way,
-and later sweeps of heavier weights advance from the matrix's columns.
+indices in the cache file.  Each weight's column is one dense list over the
+ids, summed from its parent's, whose nonzero entries come out in file order,
+and each column it steps joins the memo.  A matrix loaded from a file joins
+it too.  A column already held is kept either way, and later sweeps of
+heavier weights advance from the matrix's columns.
 
 Bulk matrices are persisted as versioned JSON, written to a random-named
 sibling file that then replaces the cache file, so concurrent readers never
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from functools import cache
-from itertools import chain
+from itertools import chain, compress
 
 from .partitions import (
     Record,
@@ -34,7 +36,7 @@ from .partitions import (
     degree,
     k_bounded_up_to,
 )
-from .tableaux import _PREFIXES, _affine_ends, _affine_steps, _linear, kostka_column
+from .tableaux import _PREFIXES, _affine_ends, _affine_steps, kostka_column
 
 FORMAT_VERSION = 2
 
@@ -115,29 +117,38 @@ def _sweep_numbered(k: int, deg_max: int, parts: list, memo: dict, flats: list |
     """Sweep the weights in parts into the memo, and their flat lists into flats if given.
 
     A shape's id is its index in parts.  The weights go depth-first, each one
-    block from its parent on id-keyed states, which go with their subtree.
-    Each (id, r) row, read once off the block walk, records its end cores.
+    block from its parent's column, held as ascending ids and their counts.
+    Each (id, r) row, read once off the block walk, records its end cores and
+    is kept as (end id, count) pairs.  A step sums the parent's rows into a
+    dense vector over every id, whose nonzero entries are read off in id order.
     """
     id_of = {lam: i for i, lam in enumerate(parts)}
+    every_id = range(len(parts))
     cores: dict[int, tuple[int, ...]] = {}
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(k + 1)]
-    stack = [((), 0, None)]
+    rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(k + 1)]
+    stack = [((), 0, None, None)]
     while stack:
-        mu, n, above = stack.pop()
+        mu, n, ids, counts = stack.pop()
         if (col := memo.get(mu)) is None:
             r, row_of = mu[-1], rows[mu[-1]]
-            for i in above.keys() - row_of.keys():
-                ends = _affine_ends(cores.get(i) or bounded_to_core(parts[i], k).shape, r, k)
-                row_of[i] = {id_of[core_to_bounded(g, k)]: t for g, t in ends.items()}
-                cores.update(zip(row_of[i], ends))
-            states = _linear(above, row_of.__getitem__)
-            memo.setdefault(mu, dict(zip(map(parts.__getitem__, states), states.values())))
+            out = [0] * len(parts)
+            for i, c in zip(ids, counts):
+                if (row := row_of.get(i)) is None:
+                    ends = _affine_ends(cores.get(i) or bounded_to_core(parts[i], k).shape, r, k)
+                    to = [id_of[core_to_bounded(g, k)] for g in ends]
+                    row = row_of[i] = tuple(zip(to, ends.values()))
+                    cores.update(zip(to, ends))
+                for j, t in row:
+                    out[j] += c * t
+            ids = list(compress(every_id, out))
+            counts = list(filter(None, out))
+            memo.setdefault(mu, dict(zip(map(parts.__getitem__, ids), counts)))
         else:
-            states = {id_of[lam]: c for lam, c in col.items()}
+            ids, counts = _numbered(col, id_of, parts)
         if flats is not None:
-            flats[id_of[mu]] = _flat(states)
+            flats[id_of[mu]] = _flat(ids, counts)
         top = min(mu[-1] if mu else k, deg_max - n)
-        stack.extend((mu + (r,), n + r, states) for r in range(1, top + 1))
+        stack.extend((mu + (r,), n + r, ids, counts) for r in range(1, top + 1))
 
 
 def _cache_path(k: int, deg_max: int, cache_dir: str) -> str:
@@ -189,11 +200,17 @@ def _plausible(
     return all(col == _column(mu, k) for mu, col in columns.items() if degree(mu) <= CHECKED_DEGREE)
 
 
-def _flat(states: dict[int, int]) -> list[int]:
-    """The [id, count, ...] list of id-keyed states, ids increasing, filled by slices."""
-    flat = [0] * (2 * len(states))
-    flat[::2] = ids = sorted(states)
-    flat[1::2] = map(states.__getitem__, ids)
+def _numbered(col: dict, id_of: dict, parts: list) -> tuple[list[int], list[int]]:
+    """The ascending ids of a shape-keyed column's shapes, and their counts."""
+    ids = sorted(map(id_of.__getitem__, col))
+    return ids, list(map(col.__getitem__, map(parts.__getitem__, ids)))
+
+
+def _flat(ids: list[int], counts) -> list[int]:
+    """The [id, count, ...] list of ascending ids and their counts, filled by slices."""
+    flat = [0] * (2 * len(ids))
+    flat[::2] = ids
+    flat[1::2] = counts
     return flat
 
 
@@ -205,8 +222,7 @@ def _save(matrix: KostkaMatrix, cache_dir: str, flats: list[list[int]] | None = 
     parts = sorted(matrix.columns)
     if flats is None:
         index_of = {lam: i for i, lam in enumerate(parts)}
-        flats = [_flat({index_of[lam]: c for lam, c in matrix.columns[mu].items()})
-                 for mu in parts]
+        flats = [_flat(*_numbered(matrix.columns[mu], index_of, parts)) for mu in parts]
     payload = {
         "format_version": FORMAT_VERSION,
         "k": matrix.k,

@@ -609,6 +609,30 @@ def test_cache_dir_that_is_a_file_exits_2(argv, route, below, tmp_path, capsys, 
     assert blocker.read_text() == "kept"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kostka", "--k", "3", "--deg-max", "6"],
+    ["expand", "--family", "Gk", "--partition", "2,1", "--k", "3", "--deg-max", "6"],
+], ids=["kostka", "expand"])
+def test_a_directory_at_the_cache_file_path_exits_2(argv, tmp_path, capsys, monkeypatch,
+                                                    empty_kostka_cache):
+    import kgroth.kostka as kostka
+
+    in_the_way = tmp_path / os.path.basename(kostka._cache_path(3, 6, str(tmp_path)))
+    (in_the_way / "inner").mkdir(parents=True)
+    (in_the_way / "inner" / "kept").write_text("kept")
+
+    def built(*args):
+        raise AssertionError("a matrix was built for a cache file that cannot be written")
+
+    monkeypatch.setattr(kostka, "_sweep_numbered", built)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(in_the_way) in err
+    assert [p.name for p in tmp_path.iterdir()] == [in_the_way.name]
+    assert [p.name for p in in_the_way.iterdir()] == ["inner"]
+    assert (in_the_way / "inner" / "kept").read_text() == "kept"
+
+
 # SHA-256 of `kgroth expand --family gk --partition 4,4,3,2,1 --k 4 --basis s
 # --format json` stdout, recorded when each Schur coefficient was a separate
 # semistandard count (about 6 s then)

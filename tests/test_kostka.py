@@ -126,6 +126,22 @@ def test_a_built_file_is_the_file_of_the_generic_sweep(k, tmp_path, empty_kostka
             assert got.read() == want.read(), deg_max
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_a_build_leaves_the_generic_sweeps_columns_in_the_memo(k, empty_kostka_cache):
+    # the file test compares flat lists of ids; this one reads the memo's
+    # shape-keyed columns, so a wrong id -> shape mapping shows here
+    weights = k_bounded_up_to(8, k)
+    swept = {}
+    for mu in weights:
+        _forget_columns()
+        swept[mu] = tableaux.sweep(mu, tableaux._affine_steps, k)
+    _forget_columns()
+    kostka.build_affine_kostka(k, 8)
+    memo = tableaux._PREFIXES[(tableaux._affine_steps, (k,))]
+    for mu in weights:
+        assert memo[mu] == swept[mu], mu
+
+
 def test_a_column_swept_before_a_build_is_kept(tmp_path, empty_kostka_cache):
     fresh = kostka.build_affine_kostka(2, 7, str(tmp_path / "fresh"))
     _forget_columns()

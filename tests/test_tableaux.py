@@ -601,6 +601,47 @@ def test_one_sparse_map_accumulates_table_rows():
     assert found == {"tableaux._linear", "symfunc.SymFunc.__mul__"}
 
 
+def test_one_dense_kernel_steps_numbered_rows():
+    """No function but kostka._sweep_numbered sums products into a subscript in a nested loop.
+
+    The pattern is x[j] += <a product>, in a for loop inside another.  The
+    matrix build numbers every shape of its file, so a step sums the parent's
+    rows of (end id, count) pairs into one list over all ids: a cold k = 5,
+    degree 13 sweep took 30 ms that way against 40 ms through _linear on
+    id-keyed dicts (medians of 12 alternating fresh processes, Python 3.11,
+    x86-64).  Everywhere else the keys have no dense numbering.
+    """
+    import ast
+    from pathlib import Path
+
+    def accumulates(stmt):
+        return (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+                and isinstance(stmt.target, ast.Subscript)
+                and isinstance(stmt.value, ast.BinOp) and isinstance(stmt.value.op, ast.Mult))
+
+    def offends(fn):
+        return any(
+            accumulates(stmt)
+            for outer in ast.walk(fn) if isinstance(outer, ast.For)
+            for inner in ast.walk(outer) if isinstance(inner, ast.For) and inner is not outer
+            for stmt in ast.walk(inner)
+        )
+
+    found = set()
+    for path in Path(tableaux.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(f"{node.name}.{sub.name}", sub)
+                       for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            found.update(f"{path.stem}.{name}" for name, fn in fns if offends(fn))
+    assert found == {"kostka._sweep_numbered"}
+
+
 def test_direct_definition_agrees_with_chains():
     """The literal-condition filter and the chain construction coincide."""
     k = 2
